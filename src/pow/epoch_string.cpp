@@ -17,9 +17,17 @@ std::size_t bin_of(double output, std::size_t max_bin) noexcept {
 }
 
 BinTable::BinTable(std::size_t bins, std::size_t counter_cap)
-    : best_(bins + 1), counters_(bins + 1, 0), counter_cap_(counter_cap) {}
+    : best_(bins + 1), counter_cap_(counter_cap) {}
 
 bool BinTable::accept(const LotteryString& s) {
+  const std::size_t j = bin_of(s.output, bins());
+  for (const auto& existing : best_[j]) {
+    if (existing.uid == s.uid) return false;  // duplicate delivery
+  }
+  return accept_fresh(s, j);
+}
+
+bool BinTable::accept_fresh(const LotteryString& s, std::size_t bin) {
   // Bounded min-set per bin.  The paper's rule forwards only strict
   // record-breakers; that breaks Lemma 12(i) when the adversary
   // releases several same-bin strings at different nodes (delivery
@@ -28,32 +36,20 @@ bool BinTable::accept(const LotteryString& s) {
   // in setting c0 >= d'' "so that no smallest values are omitted" —
   // restores set inclusion while keeping state at O(c0 ln n) per bin.
   // (Documented as a protocol clarification in DESIGN.md.)
-  const std::size_t j = bin_of(s.output, best_.size() - 1);
-  auto& retained = best_[j];
-  for (const auto& existing : retained) {
-    if (existing.uid == s.uid) return false;  // duplicate delivery
-  }
-  if (retained.size() < counter_cap_) {
-    retained.insert(
-        std::upper_bound(retained.begin(), retained.end(), s,
-                         [](const LotteryString& a, const LotteryString& b) {
-                           return a.output < b.output;
-                         }),
-        s);
-    ++counters_[j];
-    return true;
-  }
-  if (s.output < retained.back().output) {
+  //
+  // A full bin stays full and its back() never grows, so a string this
+  // rule rejects or evicts is rejected again on any later offer.
+  auto& retained = best_[bin];
+  const auto by_output = [](const LotteryString& a, const LotteryString& b) {
+    return a.output < b.output;
+  };
+  if (retained.size() >= counter_cap_) {
+    if (!(s.output < retained.back().output)) return false;
     retained.pop_back();  // evict the largest retained
-    retained.insert(
-        std::upper_bound(retained.begin(), retained.end(), s,
-                         [](const LotteryString& a, const LotteryString& b) {
-                           return a.output < b.output;
-                         }),
-        s);
-    return true;
   }
-  return false;
+  retained.insert(
+      std::upper_bound(retained.begin(), retained.end(), s, by_output), s);
+  return true;
 }
 
 std::optional<LotteryString> BinTable::minimum() const {

@@ -7,6 +7,13 @@
 //     counter capped at c0 ln n ("record-breaking" forwards only),
 //   * a solution set R_w of the d0 ln n smallest-output strings seen.
 // An ID generated with string s verifies against R_u membership.
+//
+// BinTable::accept is the whole filter for one offer: a duplicate scan,
+// then the retention rule (`accept_fresh`).  When each uid carries one
+// output, a uid offered to a table once is rejected on every later
+// offer, so an engine that remembers which uids a node was offered
+// may skip straight to `accept_fresh` for first sightings (see
+// docs/ARCHITECTURE.md, "String protocol engine").
 #pragma once
 
 #include <cstdint>
@@ -43,6 +50,11 @@ class BinTable {
   /// breaking does not survive multi-string same-bin late release).
   [[nodiscard]] bool accept(const LotteryString& s);
 
+  /// The retention rule alone, for a string this table was never
+  /// offered: `accept` minus its duplicate scan.  `bin` must equal
+  /// `bin_of(s.output, bins())`.
+  [[nodiscard]] bool accept_fresh(const LotteryString& s, std::size_t bin);
+
   /// Smallest output seen overall (the node's s^{i*} candidate).
   [[nodiscard]] std::optional<LotteryString> minimum() const;
 
@@ -52,11 +64,12 @@ class BinTable {
   [[nodiscard]] std::vector<LotteryString> solution_set(
       std::size_t target_size) const;
 
-  [[nodiscard]] std::size_t bins() const noexcept { return best_.size(); }
+  /// The constructor's bin count: bins are numbered 1..bins() (0 only
+  /// when bins() == 0).
+  [[nodiscard]] std::size_t bins() const noexcept { return best_.size() - 1; }
 
  private:
   std::vector<std::vector<LotteryString>> best_;  ///< per bin, ascending by output
-  std::vector<std::size_t> counters_;
   std::size_t counter_cap_;
 };
 

@@ -2,36 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <numeric>
+#include <stdexcept>
 
 namespace tg::pow {
 
 std::vector<std::vector<std::uint32_t>> make_gossip_topology(
     std::size_t nodes, std::size_t degree, Rng& rng) {
-  std::vector<std::unordered_set<std::uint32_t>> adj(nodes);
-  if (nodes < 2) return {nodes, std::vector<std::uint32_t>{}};
+  std::vector<std::vector<std::uint32_t>> adj(nodes);
+  if (nodes < 2) return adj;
+  // A node has at most nodes-1 distinct neighbours.
+  degree = std::min(degree, nodes - 1);
+  // Links are symmetric, so membership on one side decides both.
+  const auto link = [&adj](std::uint32_t a, std::uint32_t b) {
+    if (std::find(adj[a].begin(), adj[a].end(), b) != adj[a].end()) return;
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+  };
   // Ring backbone guarantees connectivity; random chords give the
   // expander-like expansion that keeps the diameter O(log n).
   for (std::uint32_t i = 0; i < nodes; ++i) {
-    const auto next = static_cast<std::uint32_t>((i + 1) % nodes);
-    adj[i].insert(next);
-    adj[next].insert(i);
+    link(i, static_cast<std::uint32_t>((i + 1) % nodes));
   }
   for (std::uint32_t i = 0; i < nodes; ++i) {
     while (adj[i].size() < degree) {
       const auto peer = static_cast<std::uint32_t>(rng.below(nodes));
-      if (peer == i) continue;
-      adj[i].insert(peer);
-      adj[peer].insert(i);
+      if (peer != i) link(i, peer);
     }
   }
-  std::vector<std::vector<std::uint32_t>> out(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    out[i].assign(adj[i].begin(), adj[i].end());
-    std::sort(out[i].begin(), out[i].end());
-  }
-  return out;
+  for (auto& row : adj) std::sort(row.begin(), row.end());
+  return adj;
 }
+
+namespace {
+
+/// A late release that fires: its step is within the run and its node
+/// exists.
+struct Release {
+  std::size_t step = 0;
+  std::uint32_t node = 0;
+  std::uint32_t uid = 0;
+};
+
+}  // namespace
 
 GossipOutcome run_string_protocol(
     const std::vector<std::vector<std::uint32_t>>& adjacency,
@@ -54,78 +67,137 @@ GossipOutcome run_string_protocol(
   const auto bins = static_cast<std::size_t>(std::ceil(
       params.b * std::log(static_cast<double>(n) *
                           static_cast<double>(params.epoch_T))));
+  const std::size_t total_steps = phase2 + phase3;
+
+  // In-neighbour CSR: sources ascending, once per edge, multi-edges and
+  // self-loops kept.  Draining it is exactly the order in which
+  // `for i: for nb in adjacency[i]: for s in outbox[i]` offers strings
+  // to each destination.
+  std::vector<std::size_t> in_off(n + 1, 0);
+  for (const auto& row : adjacency) {
+    for (const std::uint32_t nb : row) {
+      if (nb >= n) throw std::out_of_range("gossip adjacency names no node");
+      ++in_off[nb + 1];
+    }
+  }
+  std::partial_sum(in_off.begin(), in_off.end(), in_off.begin());
+  std::vector<std::uint32_t> in_src(in_off[n]);
+  {
+    std::vector<std::size_t> fill(in_off.begin(), in_off.end() - 1);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (const std::uint32_t nb : adjacency[i]) in_src[fill[nb]++] = i;
+    }
+  }
 
   // ---- Phase 1: local generation.  The minimum of A uniforms has
-  // CDF 1-(1-x)^A; inverse-sample it per node.
-  std::uint32_t uid = 0;
-  std::vector<BinTable> tables(n, BinTable(bins, counter_cap));
-  std::vector<LotteryString> own_min(n);
+  // CDF 1-(1-x)^A; inverse-sample it per node.  Strings are stored once,
+  // indexed by uid: node i's minimum is uid i, the releases follow.
+  std::vector<LotteryString> strings(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double u = rng.uniform();
     const double x = 1.0 - std::pow(1.0 - u,
                                     1.0 / static_cast<double>(
                                               params.phase1_attempts));
-    own_min[i] = LotteryString{x, static_cast<std::uint32_t>(i), uid++};
+    strings[i] = LotteryString{x, static_cast<std::uint32_t>(i),
+                               static_cast<std::uint32_t>(i)};
+  }
+  std::vector<Release> releases;
+  for (const LateRelease& atk : attacks) {
+    if (atk.release_step < total_steps && atk.at_node < n) {
+      const auto uid = static_cast<std::uint32_t>(strings.size());
+      strings.push_back({atk.output, atk.at_node, uid});
+      releases.push_back({atk.release_step, atk.at_node, uid});
+    }
+  }
+  // Consumed in (step, node) order; attack-list order within each.
+  std::stable_sort(releases.begin(), releases.end(),
+                   [](const Release& a, const Release& b) {
+                     return a.step != b.step ? a.step < b.step
+                                             : a.node < b.node;
+                   });
+  std::vector<std::size_t> bin(strings.size());
+  for (std::size_t u = 0; u < strings.size(); ++u) {
+    bin[u] = bin_of(strings[u].output, bins);
+  }
+
+  // First-sight filter: one bit per (node, uid).  A uid a node was
+  // offered before is one BinTable::accept would reject anyway, so only
+  // first sightings reach the retention rule.
+  const std::size_t words = (strings.size() + 63) / 64;
+  std::vector<std::uint64_t> seen(n * words, 0);
+  std::vector<BinTable> tables(n, BinTable(bins, counter_cap));
+  const auto offer = [&strings, &bin](std::uint64_t* row, BinTable& table,
+                                      std::uint32_t u) {
+    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+    if ((row[u >> 6] & bit) != 0) return false;
+    row[u >> 6] |= bit;
+    return table.accept_fresh(strings[u], bin[u]);
+  };
+
+  // Outboxes: one flat uid buffer per step, node i's strings at
+  // [off[i], off[i+1]).  A node's releases for a step go after the
+  // strings it accepted in the step before.
+  std::vector<std::uint32_t> outbox, next_outbox;
+  std::vector<std::size_t> off(n + 1, 0), next_off(n + 1, 0);
+  std::size_t next_release = 0;
+  const auto release = [&](std::size_t step, std::uint32_t node,
+                           std::vector<std::uint32_t>& box) {
+    for (; next_release < releases.size() &&
+           releases[next_release].step == step &&
+           releases[next_release].node == node;
+         ++next_release) {
+      const std::uint32_t u = releases[next_release].uid;
+      if (offer(&seen[node * words], tables[node], u)) box.push_back(u);
+    }
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (offer(&seen[i * words], tables[i], i)) outbox.push_back(i);
+    release(0, i, outbox);
+    off[i + 1] = outbox.size();
   }
 
   // ---- Phases 2+3: synchronous flooding with bin/counter filtering.
-  // outbox[i] = strings node i accepted this step (to deliver next step).
-  std::vector<std::vector<LotteryString>> outbox(n), next_outbox(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tables[i].accept(own_min[i])) outbox[i].push_back(own_min[i]);
-  }
-
   std::vector<LotteryString> selected(n);  // s^{i*}: chosen at end of Phase 2
-  const std::size_t total_steps = phase2 + phase3;
   for (std::size_t step = 0; step < total_steps; ++step) {
-    // Adversarial injections scheduled for this step.
-    for (const LateRelease& atk : attacks) {
-      if (atk.release_step == step && atk.at_node < n) {
-        const LotteryString s{atk.output, atk.at_node, uid++};
-        if (tables[atk.at_node].accept(s)) outbox[atk.at_node].push_back(s);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) next_outbox[i].clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (outbox[i].empty()) continue;
-      for (const auto nb : adjacency[i]) {
-        for (const LotteryString& s : outbox[i]) {
-          ++out.forward_events;
-          if (tables[nb].accept(s)) next_outbox[nb].push_back(s);
+      out.forward_events += adjacency[i].size() * (off[i + 1] - off[i]);
+    }
+    next_outbox.clear();
+    for (std::uint32_t d = 0; d < n; ++d) {
+      std::uint64_t* const row = &seen[d * words];
+      BinTable& table = tables[d];
+      for (std::size_t k = in_off[d]; k < in_off[d + 1]; ++k) {
+        const std::uint32_t src = in_src[k];
+        for (std::size_t p = off[src]; p < off[src + 1]; ++p) {
+          if (offer(row, table, outbox[p])) next_outbox.push_back(outbox[p]);
         }
       }
+      if (step + 1 == phase2) {
+        // End of Phase 2: the node selects its current minimum.
+        selected[d] = table.minimum().value_or(strings[d]);
+      }
+      release(step + 1, d, next_outbox);
+      next_off[d + 1] = next_outbox.size();
     }
     std::swap(outbox, next_outbox);
-    if (step + 1 == phase2) {
-      // End of Phase 2: every node selects its current minimum.
-      for (std::size_t i = 0; i < n; ++i) {
-        selected[i] = tables[i].minimum().value_or(own_min[i]);
-      }
-    }
+    std::swap(off, next_off);
   }
   out.steps_run = total_steps;
 
-  // ---- Evaluation (Lemma 12).
+  // ---- Evaluation (Lemma 12): count, per uid, the solution sets
+  // holding it; agreement means every selection is held by all n.
+  std::vector<std::size_t> holders(strings.size(), 0);
   double sum_sizes = 0.0;
-  std::vector<std::unordered_set<std::uint32_t>> rset_uids(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto rset = tables[i].solution_set(rset_size);
     sum_sizes += static_cast<double>(rset.size());
     out.max_solution_set = std::max(out.max_solution_set, rset.size());
-    auto& set = rset_uids[i];
-    set.reserve(rset.size());
-    for (const auto& s : rset) set.insert(s.uid);
+    for (const auto& s : rset) ++holders[s.uid];
   }
   out.mean_solution_set = sum_sizes / static_cast<double>(n);
-
-  for (std::size_t i = 0; i < n && out.agreement; ++i) {
-    out.global_minimum = std::min(out.global_minimum, selected[i].output);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!rset_uids[j].contains(selected[i].uid)) {
-        out.agreement = false;
-        break;
-      }
-    }
+  for (const LotteryString& s : selected) {
+    out.global_minimum = std::min(out.global_minimum, s.output);
+    out.agreement = out.agreement && holders[s.uid] == n;
   }
   return out;
 }

@@ -11,6 +11,14 @@
 //              still has d' ln n steps to reach everyone).
 // The adversary may inject strings with very small outputs at chosen
 // steps and locations ("late release").
+//
+// Engine (docs/ARCHITECTURE.md, "String protocol engine"): each step,
+// every node pulls its in-neighbours' previous-step outboxes, sources
+// ascending and once per edge, which is the order a push flood over
+// `adjacency` offers them.  A per-node first-sight bitset over string
+// uids (n * (n + |attacks|) bits) rejects a repeat offer with one bit
+// test; only first sightings reach BinTable::accept_fresh.  Outboxes
+// are one flat uid buffer per step with n + 1 offsets.
 #pragma once
 
 #include <cstdint>
@@ -52,18 +60,23 @@ struct GossipOutcome {
   /// group-level factor |G|^2 deg for wire messages).
   std::uint64_t forward_events = 0;
   std::size_t steps_run = 0;
-  /// Smallest output selected network-wide.
+  /// Smallest output selected network-wide (over all n selections,
+  /// whether or not agreement holds).
   double global_minimum = 1.0;
 };
 
 /// Run the protocol on an explicit adjacency (the giant component).
+/// Rows may be asymmetric and hold duplicates or self-loops; an entry
+/// >= adjacency.size() throws std::out_of_range.
 [[nodiscard]] GossipOutcome run_string_protocol(
     const std::vector<std::vector<std::uint32_t>>& adjacency,
     const GossipParams& params, const std::vector<LateRelease>& attacks,
     Rng& rng);
 
 /// Convenience: a connected random d-regular-ish gossip topology
-/// standing in for the giant component of blue groups.
+/// standing in for the giant component of blue groups.  Rows are
+/// sorted and symmetric; each node gets at least min(degree, nodes - 1)
+/// neighbours.
 [[nodiscard]] std::vector<std::vector<std::uint32_t>> make_gossip_topology(
     std::size_t nodes, std::size_t degree, Rng& rng);
 

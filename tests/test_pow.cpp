@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dispatch_seams.hpp"
 #include "pow/epoch_string.hpp"
@@ -277,6 +280,67 @@ TEST(Gossip, TopologyIsConnectedAndSymmetric) {
                 back.end());
     }
   }
+}
+
+TEST(Gossip, TopologyDrawsArePinned) {
+  // Golden hash of the rows plus the next draw: any rewrite of the
+  // builder must keep both the rng.below draws and the sorted rows.
+  Rng rng(2024);
+  const auto adj = make_gossip_topology(200, 7, rng);
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const auto& row : adj) {
+    mix(row.size());
+    for (const auto nb : row) mix(nb);
+  }
+  mix(rng.u64());
+  EXPECT_EQ(h, 0x70bef77fced148a3ull);
+}
+
+TEST(Gossip, TopologyDegreeAtLeastNodesIsComplete) {
+  // A node has at most nodes-1 neighbours: asking for more yields K_n.
+  for (const auto& [nodes, degree] :
+       {std::pair<std::size_t, std::size_t>{8, 13}, {13, 13}, {3, 3},
+        {2, 5}}) {
+    Rng rng(nodes);
+    const auto adj = make_gossip_topology(nodes, degree, rng);
+    ASSERT_EQ(adj.size(), nodes);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      std::vector<std::uint32_t> others;
+      for (std::uint32_t j = 0; j < nodes; ++j) {
+        if (j != i) others.push_back(j);
+      }
+      EXPECT_EQ(adj[i], others) << nodes << " nodes, degree " << degree;
+    }
+  }
+}
+
+TEST(Gossip, GlobalMinimumCoversNodesPastADisagreement) {
+  // Two disconnected 4-cliques; a 1e-12 string released at node 5
+  // wins the second clique only, so agreement fails at node 0 — and
+  // the network-wide minimum is still the released string.
+  std::vector<std::vector<std::uint32_t>> adj(8);
+  for (std::uint32_t a = 0; a < 8; ++a) {
+    for (std::uint32_t b = 0; b < 8; ++b) {
+      if (a != b && a / 4 == b / 4) adj[a].push_back(b);
+    }
+  }
+  GossipParams params;
+  params.nodes = 8;
+  Rng rng(3);
+  const GossipOutcome out =
+      run_string_protocol(adj, params, {{1e-12, 0, 5}}, rng);
+  EXPECT_FALSE(out.agreement);
+  EXPECT_EQ(out.global_minimum, 1e-12);
+}
+
+TEST(Gossip, AdjacencyNamingNoNodeThrows) {
+  Rng rng(4);
+  EXPECT_THROW((void)run_string_protocol({{1}, {2}}, GossipParams{}, {}, rng),
+               std::out_of_range);
 }
 
 TEST(Gossip, NoAdversaryReachesAgreement) {

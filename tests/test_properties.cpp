@@ -14,6 +14,7 @@
 // lane multiplies them via TG_PROP_ITERS.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -678,6 +679,243 @@ TEST(GossipProperties, SolutionSetAlwaysHoldsTheGlobalMinimum) {
       iters(25),
       [](const Case& words) {
         return "outputs[" + std::to_string(words.size()) + ']';
+      });
+}
+
+TEST(GossipProperties, FirstSightThenAcceptFreshMatchesAccept) {
+  // Offers with repeats; each uid always carries the same output.
+  struct Case {
+    std::size_t bins = 0, cap = 1;
+    std::vector<double> outputs;      // outputs[uid]
+    std::vector<std::uint32_t> offers;
+  };
+  Gen<Case> gen{[](Source& src) {
+    Case c;
+    c.bins = src.below(7);
+    c.cap = 1 + src.below(4);
+    c.outputs.resize(1 + src.below(12));
+    for (double& out : c.outputs) {
+      // Skewed small outputs, plus ties on a bin boundary and at zero.
+      const std::uint64_t kind = src.below(4);
+      const double unit = proptest::unit_real().run(src);
+      out = kind == 0 ? 0.5 : kind == 1 ? 0.0 : std::pow(unit, 4.0);
+    }
+    c.offers.resize(1 + src.below(48));
+    for (auto& u : c.offers) {
+      u = static_cast<std::uint32_t>(src.below(c.outputs.size()));
+    }
+    return c;
+  }};
+  expect_property<Case>(
+      "gossip.first-sight-then-accept-fresh-matches-accept",
+      gen,
+      [](const Case& c) {
+        pow::BinTable full(c.bins, c.cap), fresh(c.bins, c.cap);
+        std::vector<bool> offered(c.outputs.size(), false);
+        for (const std::uint32_t u : c.offers) {
+          const pow::LotteryString s{c.outputs[u], 0, u};
+          const bool want = full.accept(s);
+          const bool got =
+              !offered[u] &&
+              fresh.accept_fresh(s, pow::bin_of(s.output, fresh.bins()));
+          offered[u] = true;
+          if (want != got) return false;
+        }
+        const auto everything = c.offers.size();
+        return full.solution_set(everything) ==
+                   fresh.solution_set(everything) &&
+               full.minimum() == fresh.minimum();
+      },
+      iters(300),
+      [](const Case& c) {
+        std::ostringstream out;
+        out << "bins=" << c.bins << " cap=" << c.cap << " outputs[";
+        for (const double v : c.outputs) out << v << ' ';
+        out << "] offers[";
+        for (const auto u : c.offers) out << u << ' ';
+        out << ']';
+        return out.str();
+      });
+}
+
+/// The push formulation of the string protocol, kept as the reference
+/// run_string_protocol must reproduce: every node with an outbox offers
+/// it to each entry of its adjacency row through BinTable::accept.
+pow::GossipOutcome push_string_protocol(
+    const std::vector<std::vector<std::uint32_t>>& adjacency,
+    const pow::GossipParams& params,
+    const std::vector<pow::LateRelease>& attacks, Rng& rng) {
+  using pow::LotteryString;
+  pow::GossipOutcome out;
+  const std::size_t n = adjacency.size();
+  if (n == 0) return out;
+
+  const double ln_n =
+      std::log(static_cast<double>(std::max<std::size_t>(n, 3)));
+  const std::size_t phase2 =
+      params.phase2_steps
+          ? params.phase2_steps
+          : static_cast<std::size_t>(std::ceil(params.d_prime * ln_n));
+  const std::size_t phase3 =
+      params.phase3_steps
+          ? params.phase3_steps
+          : static_cast<std::size_t>(std::ceil(params.d_prime * ln_n));
+  const auto counter_cap =
+      static_cast<std::size_t>(std::ceil(params.c0 * ln_n));
+  const auto rset_size =
+      static_cast<std::size_t>(std::ceil(params.d0 * ln_n));
+  const auto bins = static_cast<std::size_t>(std::ceil(
+      params.b * std::log(static_cast<double>(n) *
+                          static_cast<double>(params.epoch_T))));
+
+  std::uint32_t uid = 0;
+  std::vector<pow::BinTable> tables(n, pow::BinTable(bins, counter_cap));
+  std::vector<LotteryString> own_min(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.uniform();
+    const double x =
+        1.0 - std::pow(1.0 - u, 1.0 / static_cast<double>(
+                                          params.phase1_attempts));
+    own_min[i] = LotteryString{x, static_cast<std::uint32_t>(i), uid++};
+  }
+
+  std::vector<std::vector<LotteryString>> outbox(n), next_outbox(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tables[i].accept(own_min[i])) outbox[i].push_back(own_min[i]);
+  }
+  std::vector<LotteryString> selected(n);
+  const std::size_t total_steps = phase2 + phase3;
+  for (std::size_t step = 0; step < total_steps; ++step) {
+    for (const pow::LateRelease& atk : attacks) {
+      if (atk.release_step == step && atk.at_node < n) {
+        const LotteryString s{atk.output, atk.at_node, uid++};
+        if (tables[atk.at_node].accept(s)) outbox[atk.at_node].push_back(s);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) next_outbox[i].clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const auto nb : adjacency[i]) {
+        for (const LotteryString& s : outbox[i]) {
+          ++out.forward_events;
+          if (tables[nb].accept(s)) next_outbox[nb].push_back(s);
+        }
+      }
+    }
+    std::swap(outbox, next_outbox);
+    if (step + 1 == phase2) {
+      for (std::size_t i = 0; i < n; ++i) {
+        selected[i] = tables[i].minimum().value_or(own_min[i]);
+      }
+    }
+  }
+  out.steps_run = total_steps;
+
+  double sum_sizes = 0.0;
+  std::vector<std::unordered_set<std::uint32_t>> rset_uids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto rset = tables[i].solution_set(rset_size);
+    sum_sizes += static_cast<double>(rset.size());
+    out.max_solution_set = std::max(out.max_solution_set, rset.size());
+    for (const auto& s : rset) rset_uids[i].insert(s.uid);
+  }
+  out.mean_solution_set = sum_sizes / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.global_minimum = std::min(out.global_minimum, selected[i].output);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!rset_uids[j].contains(selected[i].uid)) out.agreement = false;
+    }
+  }
+  return out;
+}
+
+TEST(GossipProperties, RunStringProtocolMatchesPushReference) {
+  struct Case {
+    std::vector<std::vector<std::uint32_t>> adjacency;
+    pow::GossipParams params;
+    std::vector<pow::LateRelease> attacks;
+    std::uint64_t seed = 0;
+  };
+  Gen<Case> gen{[](Source& src) {
+    Case c;
+    // Rows are unsorted and may be asymmetric, repeat an entry, hold a
+    // self-loop or be empty.
+    c.adjacency.resize(1 + src.below(20));
+    const std::size_t n = c.adjacency.size();
+    for (auto& row : c.adjacency) {
+      row.resize(src.below(6));
+      for (auto& nb : row) nb = static_cast<std::uint32_t>(src.below(n));
+    }
+    pow::GossipParams& p = c.params;
+    p.nodes = n;
+    p.phase1_attempts = 1 + src.below(64);
+    p.phase2_steps = src.below(5);  // 0 -> auto from d_prime
+    p.phase3_steps = src.below(5);
+    p.d_prime = proptest::element_of<double>({2.0, 1.0, 0.0}).run(src);
+    p.c0 = proptest::element_of<double>({4.0, 0.5, 1.0}).run(src);
+    p.d0 = proptest::element_of<double>({2.0, 0.5, 1.0}).run(src);
+    p.b = proptest::element_of<double>({2.0, 0.25, 0.5}).run(src);
+    p.epoch_T =
+        proptest::element_of<std::uint64_t>({1 << 20, 1, 4}).run(src);
+    // Several releases may share a node and step; some name no node
+    // (at_node >= n) or a step past the run.
+    const std::size_t attacks = src.below(7);
+    for (std::size_t a = 0; a < attacks; ++a) {
+      pow::LateRelease atk;
+      if (a > 0 && src.below(3) == 0) {
+        atk = c.attacks.back();
+      } else {
+        atk.release_step = src.below(14);
+        atk.at_node = static_cast<std::uint32_t>(src.below(n + 2));
+      }
+      const std::uint64_t kind = src.below(3);
+      atk.output = kind == 0   ? 1e-12 * static_cast<double>(1 + a % 2)
+                   : kind == 1 ? 0.5
+                               : std::pow(proptest::unit_real().run(src), 4.0);
+      c.attacks.push_back(atk);
+    }
+    c.seed = src.draw();
+    return c;
+  }};
+  expect_property<Case>(
+      "gossip.run-string-protocol-matches-push-reference",
+      gen,
+      [](const Case& c) {
+        Rng ref_rng(c.seed), rng(c.seed);
+        const auto want =
+            push_string_protocol(c.adjacency, c.params, c.attacks, ref_rng);
+        const auto got =
+            pow::run_string_protocol(c.adjacency, c.params, c.attacks, rng);
+        const auto bits = [](double v) {
+          return std::bit_cast<std::uint64_t>(v);
+        };
+        return want.agreement == got.agreement &&
+               bits(want.mean_solution_set) == bits(got.mean_solution_set) &&
+               want.max_solution_set == got.max_solution_set &&
+               want.forward_events == got.forward_events &&
+               want.steps_run == got.steps_run &&
+               bits(want.global_minimum) == bits(got.global_minimum) &&
+               ref_rng.u64() == rng.u64();
+      },
+      iters(300),
+      [](const Case& c) {
+        std::ostringstream out;
+        out << "adjacency[";
+        for (const auto& row : c.adjacency) {
+          out << '{';
+          for (const auto nb : row) out << nb << ' ';
+          out << '}';
+        }
+        const pow::GossipParams& p = c.params;
+        out << "] A=" << p.phase1_attempts << " phase2=" << p.phase2_steps
+            << " phase3=" << p.phase3_steps << " d'=" << p.d_prime
+            << " c0=" << p.c0 << " d0=" << p.d0 << " b=" << p.b
+            << " T=" << p.epoch_T << " attacks[";
+        for (const auto& atk : c.attacks) {
+          out << '(' << atk.output << " @" << atk.release_step << " n"
+              << atk.at_node << ')';
+        }
+        out << "] seed " << show_u64s({c.seed});
+        return out.str();
       });
 }
 

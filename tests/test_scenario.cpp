@@ -138,6 +138,21 @@ TEST(ScenarioCampaign, EveryBuiltinCellRunsAtReducedScale) {
   }
 }
 
+TEST(ScenarioCampaign, LateReleaseRunsBelowTheGroupSize) {
+  // The tinygroups gossip degree is the group size (13 here), more
+  // neighbours than these networks have nodes.
+  const auto* cell = Registry::instance().find("late_release/tinygroups");
+  ASSERT_NE(cell, nullptr);
+  for (std::size_t n = 8; n <= 13; ++n) {
+    ScenarioSpec spec = small_spec(*cell);
+    spec.n = n;
+    spec.trials = 1;
+    const auto result = CampaignRunner::run_cell(*cell, spec);
+    ASSERT_EQ(result.metrics.size(), cell->metrics.size()) << n;
+    EXPECT_EQ(result.metrics[0].count(), 1u) << n;
+  }
+}
+
 TEST(ScenarioCampaign, SameSpecAndSeedIsBitIdentical) {
   const auto* cell = Registry::instance().find("omit_ids/tinygroups");
   ASSERT_NE(cell, nullptr);
