@@ -1,188 +1,14 @@
-// P1 — Hot-path microbenchmarks: oracle midstate caching, batched PoW
-// solving, and the persistent executor, measured against the seed
-// implementation kept below as a frozen baseline.
+// P1 — Hot-path microbenchmarks: oracle midstate caching, multi-lane
+// hashing, batched PoW solving, and the persistent executor.
 //
 // Emits BENCH_crypto.json (schema in bench/README.md): ns/op and
-// ops/sec per metric, "*_seed_baseline" rows for the before side, and
-// "speedup_*" rows comparing the two.  This is the perf-trajectory
-// smoke bench run by CI.
+// ops/sec per metric, plus meta.calibration_ns — the frozen
+// calibration kernel (bench_common.hpp) CI's regression guard scores
+// every timed row against.  This is the perf-trajectory smoke bench
+// run by CI.
 #include "bench_common.hpp"
 
-#include <cstring>
-
 #include "tinygroups/tinygroups.hpp"
-
-namespace seed_baseline {
-
-// The seed's SHA-256, verbatim in structure: rolling 64-entry message
-// schedule, byte-at-a-time padding in finish(), context rebuilt and
-// the (domain || seed) prefix re-absorbed on every oracle call.  Kept
-// so the "before" side of the perf trajectory stays measurable.
-class Sha256 {
- public:
-  Sha256() noexcept { reset(); }
-
-  void reset() noexcept {
-    state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-    bit_length_ = 0;
-    buffer_len_ = 0;
-  }
-
-  void update(std::span<const std::uint8_t> data) noexcept {
-    bit_length_ += static_cast<std::uint64_t>(data.size()) * 8;
-    std::size_t offset = 0;
-    if (buffer_len_ > 0) {
-      const std::size_t take = std::min(data.size(), 64 - buffer_len_);
-      std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
-      buffer_len_ += take;
-      offset += take;
-      if (buffer_len_ == 64) {
-        process_block(buffer_.data());
-        buffer_len_ = 0;
-      }
-    }
-    while (offset + 64 <= data.size()) {
-      process_block(data.data() + offset);
-      offset += 64;
-    }
-    if (offset < data.size()) {
-      std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-      buffer_len_ = data.size() - offset;
-    }
-  }
-
-  void update(std::string_view text) noexcept {
-    update(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-  }
-
-  void update_u64(std::uint64_t value) noexcept {
-    std::uint8_t bytes[8];
-    for (int i = 7; i >= 0; --i) {
-      bytes[i] = static_cast<std::uint8_t>(value & 0xff);
-      value >>= 8;
-    }
-    update(std::span<const std::uint8_t>(bytes, 8));
-  }
-
-  [[nodiscard]] tg::crypto::Digest finish() noexcept {
-    const std::uint64_t total_bits = bit_length_;
-    const std::uint8_t pad_one = 0x80;
-    update(std::span<const std::uint8_t>(&pad_one, 1));
-    const std::uint8_t zero = 0x00;
-    while (buffer_len_ != 56) {
-      update(std::span<const std::uint8_t>(&zero, 1));
-    }
-    std::uint8_t len_bytes[8];
-    std::uint64_t v = total_bits;
-    for (int i = 7; i >= 0; --i) {
-      len_bytes[i] = static_cast<std::uint8_t>(v & 0xff);
-      v >>= 8;
-    }
-    update(std::span<const std::uint8_t>(len_bytes, 8));
-
-    tg::crypto::Digest out{};
-    for (int i = 0; i < 8; ++i) {
-      out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-      out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-      out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-      out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-    }
-    return out;
-  }
-
- private:
-  static constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
-    return (x >> n) | (x << (32 - n));
-  }
-
-  void process_block(const std::uint8_t* block) noexcept {
-    static constexpr std::array<std::uint32_t, 64> k = {
-        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b,
-        0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01,
-        0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7,
-        0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc,
-        0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152,
-        0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-        0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-        0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819,
-        0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116, 0x1e376c08,
-        0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f,
-        0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-        0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-      w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-             (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-             (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-             static_cast<std::uint32_t>(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-      const std::uint32_t s0 =
-          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-      const std::uint32_t s1 =
-          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-    for (int i = 0; i < 64; ++i) {
-      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-      const std::uint32_t ch = (e & f) ^ (~e & g);
-      const std::uint32_t temp1 = h + s1 + ch + k[i] + w[i];
-      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-      const std::uint32_t temp2 = s0 + maj;
-      h = g; g = f; f = e; e = d + temp1;
-      d = c; c = b; b = a; a = temp1 + temp2;
-    }
-    state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-    state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
-  }
-
-  std::array<std::uint32_t, 8> state_{};
-  std::array<std::uint8_t, 64> buffer_{};
-  std::uint64_t bit_length_ = 0;
-  std::size_t buffer_len_ = 0;
-};
-
-/// The seed's oracle evaluation: rebuild the context and re-absorb the
-/// prefix on every call.
-inline std::uint64_t oracle_value_u64(std::string_view domain,
-                                      std::uint64_t seed, std::uint64_t x) {
-  Sha256 ctx;
-  ctx.update(domain);
-  ctx.update_u64(seed);
-  ctx.update_u64(x);
-  return tg::crypto::digest_to_u64(ctx.finish());
-}
-
-inline std::uint64_t oracle_value_pair(std::string_view domain,
-                                       std::uint64_t seed, std::uint64_t a,
-                                       std::uint64_t b) {
-  Sha256 ctx;
-  ctx.update(domain);
-  ctx.update_u64(seed);
-  ctx.update_u64(a);
-  ctx.update_u64(b);
-  return tg::crypto::digest_to_u64(ctx.finish());
-}
-
-/// The seed's parallel_for_shards: construct and destroy a thread pool
-/// on every fan-out call.
-inline void transient_parallel_for_shards(
-    std::size_t shards, const std::function<void(std::size_t)>& body,
-    std::size_t threads) {
-  tg::ThreadPool pool(threads);
-  for (std::size_t i = 0; i < shards; ++i) {
-    pool.submit([&body, i] { body(i); });
-  }
-  pool.wait_idle();
-}
-
-}  // namespace seed_baseline
 
 int main() {
   using namespace tg;
@@ -190,39 +16,29 @@ int main() {
   log::set_level(log::Level::warn);
 
   banner("P1: hot-path microbenchmarks (crypto / PoW / executor)",
-         "midstate caching >= 2x on oracle value_u64; batched PoW and "
-         "persistent pool measurably faster than the seed");
+         "oracle calls cost one compression; multi-lane batching beats "
+         "the single-lane path");
 
   JsonReporter report("crypto");
   // Which kernels this run actually dispatched to — without this the
   // hardware-normalized rows are not interpretable across runners
-  // (a SHA-NI-less or AVX-512-less box legitimately shows different
-  // speedups-vs-seed).
+  // (a SHA-NI-less or AVX-512-less box legitimately scores lower
+  // against the scalar calibration kernel).
+  record_calibration(report);
   report.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   report.set_meta("lanes", std::to_string(crypto::Sha256::lane_width()));
   std::cout << "hash kernel: " << crypto::Sha256::kernel_name()
             << " (lane width " << crypto::Sha256::lane_width() << ")\n";
 
-  Table t({"metric", "seed ns/op", "now ns/op", "speedup"});
-  t.set_title("hot-path ns/op, seed baseline vs current");
+  Table t({"metric", "ns/op"});
+  t.set_title("hot-path ns/op");
 
   const crypto::RandomOracle oracle("tinygroups/h1", 42);
 
-  // Equivalence guard: the baseline must compute the same function.
-  for (std::uint64_t x : {0ULL, 1ULL, 0xdeadbeefULL, ~0ULL}) {
-    if (oracle.value_u64(x) !=
-        seed_baseline::oracle_value_u64("tinygroups/h1", 42, x)) {
-      std::cerr << "FATAL: baseline/current oracle mismatch\n";
-      return 1;
-    }
-  }
-
-  const auto bench_pair = [&](const std::string& name, double seed_ns,
-                              double now_ns) {
+  const auto bench_row = [&](const std::string& name, double now_ns) {
     report.add_ns_per_op(name, now_ns);
-    report.add_ns_per_op(name + "_seed_baseline", seed_ns);
-    report.add("speedup_" + name, {{"speedup", seed_ns / now_ns}});
-    t.add_row({name, seed_ns, now_ns, seed_ns / now_ns});
+    t.add_row({name, now_ns});
+    record_calibration(report);
   };
 
   // Single-lane ns/op, kept for the explicit multi-lane-vs-single
@@ -232,37 +48,23 @@ int main() {
 
   // --- Oracle value_u64: the innermost hot call of h1/h2/f/g/h. ---
   {
-    const double seed_ns = measure_ns_per_op([&](std::size_t iters) {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < iters; ++i) {
-        acc ^= seed_baseline::oracle_value_u64("tinygroups/h1", 42, i);
-      }
-      do_not_optimize(acc);
-    });
     const double now_ns = measure_ns_per_op([&](std::size_t iters) {
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < iters; ++i) acc ^= oracle.value_u64(i);
       do_not_optimize(acc);
     });
-    bench_pair("oracle_value_u64", seed_ns, now_ns);
+    bench_row("oracle_value_u64", now_ns);
     value_u64_single_ns = now_ns;
   }
 
   // --- Oracle value_pair: group-membership hash h1(w, i). ---
   {
-    const double seed_ns = measure_ns_per_op([&](std::size_t iters) {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < iters; ++i) {
-        acc ^= seed_baseline::oracle_value_pair("tinygroups/h1", 42, i, i + 1);
-      }
-      do_not_optimize(acc);
-    });
     const double now_ns = measure_ns_per_op([&](std::size_t iters) {
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < iters; ++i) acc ^= oracle.value_pair(i, i + 1);
       do_not_optimize(acc);
     });
-    bench_pair("oracle_value_pair", seed_ns, now_ns);
+    bench_row("oracle_value_pair", now_ns);
   }
 
   // --- Raw SHA-256 streaming throughput (compression function). ---
@@ -271,15 +73,6 @@ int main() {
     for (std::size_t i = 0; i < msg.size(); ++i) {
       msg[i] = static_cast<std::uint8_t>(i * 31);
     }
-    const double seed_ns = measure_ns_per_op([&](std::size_t iters) {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < iters; ++i) {
-        seed_baseline::Sha256 ctx;
-        ctx.update(std::span<const std::uint8_t>(msg));
-        acc ^= crypto::digest_to_u64(ctx.finish());
-      }
-      do_not_optimize(acc);
-    });
     const double now_ns = measure_ns_per_op([&](std::size_t iters) {
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < iters; ++i) {
@@ -287,26 +80,15 @@ int main() {
       }
       do_not_optimize(acc);
     });
-    bench_pair("sha256_1kib", seed_ns, now_ns);
+    bench_row("sha256_1kib", now_ns);
     report.add("sha256_throughput",
-               {{"mib_per_sec", 1024.0 * 1e9 / now_ns / (1 << 20)},
-                {"seed_mib_per_sec", 1024.0 * 1e9 / seed_ns / (1 << 20)}});
+               {{"mib_per_sec", 1024.0 * 1e9 / now_ns / (1 << 20)}});
   }
 
   // --- PoW attempt cost: the solver's inner loop g(sigma ^ r). ---
   const crypto::OracleSuite oracles(91);
   const std::uint64_t tau = pow::tau_for_expected_attempts(500.0);
   {
-    const double seed_ns = measure_ns_per_op([&](std::size_t iters) {
-      Rng rng(7);
-      std::uint64_t found = 0;
-      for (std::size_t i = 0; i < iters; ++i) {
-        const std::uint64_t sigma = rng.u64();
-        found += seed_baseline::oracle_value_u64("tinygroups/g", 91,
-                                                 sigma ^ 0x5151) <= tau;
-      }
-      do_not_optimize(found);
-    });
     const double now_ns = measure_ns_per_op([&](std::size_t iters) {
       Rng rng(7);
       auto g_stream = oracles.g.stream_u64();
@@ -317,10 +99,8 @@ int main() {
       }
       do_not_optimize(found);
     });
-    bench_pair("pow_attempt", seed_ns, now_ns);
+    bench_row("pow_attempt", now_ns);
     pow_attempt_single_ns = now_ns;
-    report.add("pow_attempts_per_sec",
-               {{"now", 1e9 / now_ns}, {"seed_baseline", 1e9 / seed_ns}});
   }
 
   // --- Multi-lane oracle batching: eval_many through the lane engine.
@@ -329,13 +109,6 @@ int main() {
   // over this binary's own single-lane path (PR 1's design), which is
   // the number the lane engine exists for.
   {
-    const double seed_ns = measure_ns_per_op([&](std::size_t iters) {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < iters; ++i) {
-        acc ^= seed_baseline::oracle_value_u64("tinygroups/h1", 42, i);
-      }
-      do_not_optimize(acc);
-    });
     auto stream = oracle.stream_u64();
     constexpr std::size_t kBatch = 1024;
     std::vector<std::uint64_t> xs(kBatch), outs(kBatch);
@@ -349,7 +122,7 @@ int main() {
       }
       do_not_optimize(acc);
     });
-    bench_pair("oracle_value_u64_multilane", seed_ns, now_ns);
+    bench_row("oracle_value_u64_multilane", now_ns);
     report.add("speedup_oracle_value_u64_multilane_vs_single",
                {{"speedup", value_u64_single_ns / now_ns}});
   }
@@ -357,13 +130,6 @@ int main() {
   // --- Multi-lane membership hashing: StreamPair::eval_many, the
   // h(w, slot) draw shape of the group graphs. ---
   {
-    const double seed_ns = measure_ns_per_op([&](std::size_t iters) {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < iters; ++i) {
-        acc ^= seed_baseline::oracle_value_pair("tinygroups/h1", 42, i, i + 1);
-      }
-      do_not_optimize(acc);
-    });
     auto stream = oracle.stream_pair();
     constexpr std::size_t kSlots = 64;  // a generous group size
     std::vector<std::uint64_t> slots(kSlots), outs(kSlots);
@@ -377,23 +143,13 @@ int main() {
       }
       do_not_optimize(acc);
     });
-    bench_pair("oracle_value_pair_multilane", seed_ns, now_ns);
+    bench_row("oracle_value_pair_multilane", now_ns);
   }
 
   // --- Multi-lane PoW attempts: the solver's lane-interleaved inner
   // loop — draw a lane group of sigmas, hash them together, count
   // threshold hits. ---
   {
-    const double seed_ns = measure_ns_per_op([&](std::size_t iters) {
-      Rng rng(7);
-      std::uint64_t found = 0;
-      for (std::size_t i = 0; i < iters; ++i) {
-        const std::uint64_t sigma = rng.u64();
-        found += seed_baseline::oracle_value_u64("tinygroups/g", 91,
-                                                 sigma ^ 0x5151) <= tau;
-      }
-      do_not_optimize(found);
-    });
     auto g_stream = oracles.g.stream_u64();
     constexpr std::size_t kLanes = crypto::Sha256::kMaxLanes;
     std::uint64_t xs[kLanes];
@@ -409,9 +165,7 @@ int main() {
       }
       do_not_optimize(found);
     });
-    bench_pair("pow_attempt_multilane", seed_ns, now_ns);
-    report.add("pow_attempts_per_sec_multilane",
-               {{"now", 1e9 / now_ns}, {"seed_baseline", 1e9 / seed_ns}});
+    bench_row("pow_attempt_multilane", now_ns);
     report.add("speedup_pow_attempt_multilane_vs_single",
                {{"speedup", pow_attempt_single_ns / now_ns}});
   }
@@ -437,11 +191,10 @@ int main() {
     report.add("pow_solve_batch_64",
                {{"ns_per_batch", batch_ns},
                 {"attempts_per_sec", attempts_per_batch * 1e9 / batch_ns}});
-    t.add_row({std::string("pow_solve_batch_64 (us)"), 0.0, batch_ns / 1e3,
-               0.0});
+    t.add_row({std::string("pow_solve_batch_64 (us)"), batch_ns / 1e3});
   }
 
-  // --- Executor: fan-out cost, transient pool vs persistent pool. ---
+  // --- Executor: fan-out cost through the persistent pool. ---
   {
     const std::size_t shards = 64;
     const std::function<void(std::size_t)> body = [](std::size_t i) {
@@ -450,13 +203,6 @@ int main() {
       for (int k = 0; k < 256; ++k) acc ^= rng.u64();
       do_not_optimize(acc);
     };
-    const double seed_ns = measure_ns_per_op(
-        [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            seed_baseline::transient_parallel_for_shards(shards, body, 8);
-          }
-        },
-        0.3);
     const double now_ns = measure_ns_per_op(
         [&](std::size_t iters) {
           for (std::size_t i = 0; i < iters; ++i) {
@@ -464,7 +210,7 @@ int main() {
           }
         },
         0.3);
-    bench_pair("executor_fanout_64x8", seed_ns, now_ns);
+    bench_row("executor_fanout_64x8", now_ns);
   }
 
   // --- Thread scaling: Monte-Carlo fan-out through run_trials. ---
@@ -488,12 +234,14 @@ int main() {
             }
           },
           0.3);
-      report.add("run_trials_512",
+      // One row per width: names must be unique within a report.
+      report.add("run_trials_512_t" + std::to_string(threads),
                  {{"threads", static_cast<double>(threads)},
                   {"ns_per_run", ns},
                   {"runs_per_sec", 1e9 / ns}});
-      t.add_row({std::string("run_trials_512 t=") + std::to_string(threads),
-                 0.0, ns / 1e3, 0.0});
+      t.add_row({std::string("run_trials_512 t=") + std::to_string(threads) +
+                     " (us)",
+                 ns / 1e3});
     }
   }
 

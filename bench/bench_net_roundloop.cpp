@@ -2,26 +2,17 @@
 // (BENCH_net.json).
 //
 // Measures the chatter round loop (src/scenario/campaign.hpp's
-// run_chatter_round_loop) along the net runtime's optimization axes:
-//
-//   <metric>                the current runtime: recycled round
-//                           buffers + arena-pooled payload spill
-//   <metric>_seed_baseline  the seed allocation pattern, kept
-//                           selectable at runtime (fresh vectors every
-//                           round, heap new[]/delete[] payload spill)
-//
-// Two traffic shapes: `inline` payloads fit Words' inline buffer (the
-// repository's protocol chatter — IDs, votes, hash tags), `spill`
-// payloads exceed it (wide copies with certificates attached), which
-// is where payload pooling pays.  The speedup_<metric> ratio is what
-// CI's hardware-normalized regression guard tracks against the
+// run_chatter_round_loop) in two traffic shapes: `inline` payloads fit
+// Words' inline buffer (the repository's protocol chatter — IDs, votes,
+// hash tags), `spill` payloads exceed it (wide copies with certificates
+// attached), so every message also costs one heap block.  Each
+// net_round_loop_<shape> row is ns per round (the fastest of 4 runs,
+// see bench::fastest_across_cpus); CI's regression guard
+// scores it against the run's meta.calibration_ns (the frozen
+// calibration kernel in bench_common.hpp) and compares with the
 // committed BENCH_net.json.
-//
-// Every pair is asserted byte-identical in delivered traffic (trace
-// hash) before any number is reported — a divergence aborts the bench.
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -45,88 +36,53 @@ int main(int argc, char** argv) {
   using namespace tg::bench;
   log::set_level(log::Level::warn);
 
-  // --fast: CI smoke sizes (the ratio is size-stable; the smaller run
-  // just widens the noise band, which the guard threshold absorbs).
+  // --fast: CI smoke length.  It shortens the run but keeps the shape
+  // (nodes, fanout), so fast rows time the same per-round work as the
+  // committed full-run baseline they are compared with.
   const bool fast = argc > 1 && std::string(argv[1]) == "--fast";
 
-  banner("net round loop: payload pooling + buffer recycling trajectory",
-         "chatter rounds, current runtime vs the seed allocation path; "
-         "delivered traffic asserted byte-identical");
+  banner("net round loop: inline and spilled payloads",
+         "chatter rounds on the flat round engine; cost per round scales "
+         "with the messages delivered");
 
   RoundLoopConfig base;
-  base.nodes = fast ? 128 : 256;
+  base.nodes = 256;
   base.fanout = 4;
   base.rounds = fast ? 120 : 400;
 
   JsonReporter reporter("net");
-  Table t({"shape", "payload words", "seed ns/round", "now ns/round",
-           "speedup", "steady heap allocs"});
+  record_calibration(reporter);
+  Table t({"shape", "payload words", "ns/round", "messages/round"});
   t.set_title("chatter round loop (" + std::to_string(base.nodes) +
               " nodes x fanout " + std::to_string(base.fanout) + ")");
 
   const std::vector<Shape> shapes = {
-      {"inline", 4},   // fits Words::kInlineCapacity: SBO, no spill
-      {"spill", 16},   // every payload spills: pooling's home turf
+      {"inline", 4},   // fits Words::kInlineCapacity: no allocation
+      {"spill", 16},   // every payload spills to one heap block
   };
   for (const Shape& shape : shapes) {
-    RoundLoopConfig current = base;
-    current.payload_words = shape.payload_words;
-    RoundLoopConfig seed = current;  // the pre-optimization runtime
-    seed.recycle_buffers = false;
-    seed.pool_payloads = false;
+    RoundLoopConfig config = base;
+    config.payload_words = shape.payload_words;
 
-    (void)run_chatter_round_loop(current);  // warm-up: pool spin-up
-    const RoundLoopResult before = run_chatter_round_loop(seed);
-    const RoundLoopResult after = run_chatter_round_loop(current);
+    (void)run_chatter_round_loop(config);  // warm-up: first touch
+    RoundLoopResult run;
+    const double ns_per_round = fastest_across_cpus(4, [&] {
+      run = run_chatter_round_loop(config);
+      return run.ns_per_round;
+    });
 
-    if (before.trace_hash != after.trace_hash ||
-        before.delivered != after.delivered) {
-      throw std::logic_error(
-          "pooled round loop diverged from the seed path (shape " +
-          shape.name + ")");
-    }
-
-    const double messages_per_round = static_cast<double>(after.delivered) /
+    const double messages_per_round = static_cast<double>(run.delivered) /
                                       static_cast<double>(base.rounds);
-    const JsonReporter::Fields fields{
-        {"nodes", static_cast<double>(base.nodes)},
-        {"payload_words", static_cast<double>(shape.payload_words)},
-        {"messages_per_round", messages_per_round}};
-    reporter.add_ns_per_op("net_round_loop_" + shape.name,
-                           after.ns_per_round, fields);
-    reporter.add_ns_per_op("net_round_loop_" + shape.name + "_seed_baseline",
-                           before.ns_per_round, fields);
-    reporter.add("speedup_net_round_loop_" + shape.name,
-                 {{"speedup", before.ns_per_round / after.ns_per_round},
-                  {"identical_traffic", 1.0}});
-
-    // Steady state the arena must reach: every spill served from the
-    // free lists.  The warmed-up measured run may only add a bounded
-    // number of fresh blocks (growth re-spills + delayed-slot jitter).
-    if (shape.payload_words > net::Words::kInlineCapacity) {
-      const std::uint64_t steady = after.arena_heap_allocations;
-      const std::uint64_t bound = 4 * base.nodes * base.fanout;
-      if (steady > bound) {
-        throw std::logic_error(
-            "payload arena failed to reach steady state: " +
-            std::to_string(steady) + " heap allocations (bound " +
-            std::to_string(bound) + ")");
-      }
-      reporter.add("net_payload_arena",
-                   {{"allocated", static_cast<double>(after.arena_allocated)},
-                    {"recycled", static_cast<double>(after.arena_recycled)},
-                    {"steady_heap_allocations", static_cast<double>(steady)},
-                    {"messages_per_round", messages_per_round}});
-    }
-
-    t.add_row({shape.name, shape.payload_words, before.ns_per_round,
-               after.ns_per_round, before.ns_per_round / after.ns_per_round,
-               after.arena_heap_allocations});
+    reporter.add_ns_per_op(
+        "net_round_loop_" + shape.name, ns_per_round,
+        {{"nodes", static_cast<double>(base.nodes)},
+         {"payload_words", static_cast<double>(shape.payload_words)},
+         {"messages_per_round", messages_per_round}});
+    t.add_row({shape.name, shape.payload_words, ns_per_round,
+               messages_per_round});
+    record_calibration(reporter);
   }
   t.print(std::cout);
-  std::cout << "(identical trace hashes asserted for every pair; the\n"
-               " spill row's steady heap allocations stay bounded — the\n"
-               " arena serves warmed-up rounds from its free lists.)\n";
 
   return reporter.write(".") ? 0 : 1;
 }

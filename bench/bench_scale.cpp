@@ -4,24 +4,18 @@
 // |G| ~ d1 ln ln n, per-epoch cost must stay near-linear and memory
 // flat-per-member as n grows from 10^4 to 10^6.  Two phases per n:
 //
-//   scale_epoch_build_n<N>   pristine epoch build under the SoA
-//                            GroupTable (streaming slab writes through
-//                            the multi-lane oracle engine)
-//   ..._seed_baseline        the same build under the legacy AoS layout
-//                            (one heap vector per group), kept runtime-
-//                            selectable like the net runtime's
-//                            recycling/pooling toggles
-//   scale_round_loop_n<N>    chatter round loop at n nodes, recycled
-//                            buffers + pooled payloads (sharded arena)
-//   ..._seed_baseline        fresh vectors + heap spill every round
+//   scale_epoch_build_n<N>   pristine epoch build into the GroupTable
+//                            slab (streaming writes through the
+//                            multi-lane oracle engine)
+//   scale_round_loop_n<N>    chatter round loop at n nodes, 12-word
+//                            payloads (every message spills)
 //
 // Every row carries peak_rss_bytes, measured per phase: the kernel's
 // RSS high-water mark is reset (bench_common's reset_peak_rss) before
-// each build/loop so one process can report honest per-layout peaks.
-// Layout equivalence is asserted before any number is reported — the
-// two epoch builds must produce byte-identical memberships, counters
-// and red sets (identical_epochs), and the two round loops identical
-// delivered traffic (identical_traffic).
+// each build/loop so one process can report honest per-phase peaks.
+// Each timed row is the fastest of its repetitions; CI's regression
+// guard scores it against the run's meta.calibration_ns (the frozen
+// calibration kernel).
 //
 // --fast caps n at 10^5 (the CI scale-smoke shape; the regression
 // guard runs with --allow-missing so the absent 10^6 rows are
@@ -29,7 +23,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,84 +34,61 @@ namespace {
 
 using namespace tg;
 
-/// Layout-independent epoch fingerprint: FNV-1a over every group's
-/// membership span, counters and red classification.  Equal hashes
-/// across the two layouts mean the toggle is invisible in the built
-/// epoch.
-std::uint64_t epoch_fingerprint(const core::GroupGraph& graph) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const core::GroupView g = graph.group(i);
-    mix(g.leader);
-    mix(g.members.size());
-    for (const auto m : g.members) mix(m);
-    mix(g.bad_members);
-    mix(g.corrupted_slots);
-    mix(g.rejected_slots);
-    mix(g.confused ? 1 : 0);
-    mix(graph.is_red(i) ? 1 : 0);
-  }
-  return h;
-}
-
 struct BuildMeasurement {
   double ns_per_build = 0.0;
-  std::uint64_t fingerprint = 0;
   std::uint64_t peak_rss = 0;
   std::size_t members = 0;
   std::size_t memory_bytes = 0;
   double red_fraction = 0.0;
 };
 
-/// Time `reps` pristine builds under `layout`; the phase-local RSS
-/// peak covers the LAST build only (the watermark is reset between
-/// reps so lingering pages from earlier reps don't inflate it).
+/// Time `reps` pristine builds (the fastest counts; see
+/// bench::fastest_across_cpus); the phase-local RSS peak covers the
+/// LAST build only (the watermark is reset between reps so lingering
+/// pages from earlier reps don't inflate it).
 BuildMeasurement measure_epoch_build(
     const core::Params& params,
     const std::shared_ptr<const core::Population>& pop,
-    const crypto::RandomOracle& oracle, core::GroupLayout layout,
-    std::size_t reps) {
-  const core::GroupLayout saved = core::default_group_layout();
-  core::set_default_group_layout(layout);
+    const crypto::RandomOracle& oracle, std::size_t reps) {
   BuildMeasurement out;
-  double total_s = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    bench::reset_peak_rss();
-    const Stopwatch sw;
-    const core::GroupGraph graph =
-        core::GroupGraph::pristine(params, pop, oracle);
-    total_s += sw.seconds();
-    out.peak_rss = bench::peak_rss_bytes();
-    if (r + 1 == reps) {
-      out.fingerprint = epoch_fingerprint(graph);
-      std::size_t members = 0;
-      for (std::size_t i = 0; i < graph.size(); ++i) {
-        members += graph.group_size(i);
-      }
-      out.members = members;
-      out.memory_bytes = graph.memory_bytes();
-      out.red_fraction = graph.red_fraction();
-    }
-  }
-  out.ns_per_build = total_s * 1e9 / static_cast<double>(reps);
-  core::set_default_group_layout(saved);
+  out.ns_per_build =
+      bench::fastest_across_cpus(static_cast<int>(reps), [&] {
+        bench::reset_peak_rss();
+        const Stopwatch sw;
+        const core::GroupGraph graph =
+            core::GroupGraph::pristine(params, pop, oracle);
+        const double ns = sw.seconds() * 1e9;
+        out.peak_rss = bench::peak_rss_bytes();
+        std::size_t members = 0;
+        for (std::size_t i = 0; i < graph.size(); ++i) {
+          members += graph.group_size(i);
+        }
+        out.members = members;
+        out.memory_bytes = graph.memory_bytes();
+        out.red_fraction = graph.red_fraction();
+        return ns;
+      });
   return out;
 }
 
 struct LoopMeasurement {
-  scenario::RoundLoopResult result;
+  double ns_per_round = 0.0;
+  std::uint64_t delivered = 0;
   std::uint64_t peak_rss = 0;
 };
 
-LoopMeasurement measure_round_loop(const scenario::RoundLoopConfig& config) {
-  bench::reset_peak_rss();
+/// The fastest of `reps` chatter loops; the RSS peak covers the last.
+LoopMeasurement measure_round_loop(const scenario::RoundLoopConfig& config,
+                                   std::size_t reps) {
   LoopMeasurement out;
-  out.result = scenario::run_chatter_round_loop(config);
-  out.peak_rss = bench::peak_rss_bytes();
+  out.ns_per_round = bench::fastest_across_cpus(static_cast<int>(reps), [&] {
+    bench::reset_peak_rss();
+    const scenario::RoundLoopResult run =
+        scenario::run_chatter_round_loop(config);
+    out.delivered = run.delivered;
+    out.peak_rss = bench::peak_rss_bytes();
+    return run.ns_per_round;
+  });
   return out;
 }
 
@@ -131,10 +101,9 @@ int main(int argc, char** argv) {
 
   const bool fast = argc > 1 && std::string(argv[1]) == "--fast";
 
-  banner("scaling: SoA group tables + streaming epoch build at n up to 10^6",
+  banner("scaling: slab group tables + streaming epoch build at n up to 10^6",
          "epoch build and round loop stay near-linear in n with "
-         "|G| ~ d1 ln ln n; SoA layout asserted byte-identical to the "
-         "legacy AoS path");
+         "|G| ~ d1 ln ln n");
 
   struct Point {
     std::size_t n;
@@ -145,11 +114,12 @@ int main(int argc, char** argv) {
   if (!fast) points.push_back({1'000'000, 1, 3});
 
   JsonReporter reporter("scale");
+  record_calibration(reporter);
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   reporter.set_meta("mode", fast ? "fast" : "full");
 
-  Table t({"n", "group size", "AoS build ms", "SoA build ms", "speedup",
-           "SoA peak RSS MB", "loop speedup"});
+  Table t({"n", "group size", "build ms", "build peak RSS MB",
+           "loop ms/round", "loop peak RSS MB"});
   t.set_title("million-node scaling trajectory");
 
   std::uint64_t run_peak = 0;
@@ -165,100 +135,46 @@ int main(int argc, char** argv) {
     const crypto::OracleSuite oracles(params.seed);
     const std::string suffix = "_n" + std::to_string(point.n);
 
-    // ---- Epoch build: legacy AoS baseline, then the SoA layout ----
-    const BuildMeasurement legacy = measure_epoch_build(
-        params, pop, oracles.h1, core::GroupLayout::legacy_aos,
-        point.build_reps);
-    const BuildMeasurement soa = measure_epoch_build(
-        params, pop, oracles.h1, core::GroupLayout::soa, point.build_reps);
-    if (legacy.fingerprint != soa.fingerprint ||
-        legacy.members != soa.members) {
-      throw std::logic_error("SoA epoch diverged from the legacy layout at n=" +
-                             std::to_string(point.n));
-    }
+    // ---- Epoch build ----
+    const BuildMeasurement build =
+        measure_epoch_build(params, pop, oracles.h1, point.build_reps);
+    reporter.add_ns_per_op(
+        "scale_epoch_build" + suffix, build.ns_per_build,
+        {{"n", static_cast<double>(point.n)},
+         {"group_size", static_cast<double>(params.group_size())},
+         {"members", static_cast<double>(build.members)},
+         {"memory_bytes", static_cast<double>(build.memory_bytes)},
+         {"peak_rss_bytes", static_cast<double>(build.peak_rss)}});
 
-    const JsonReporter::Fields build_shape{
-        {"n", static_cast<double>(point.n)},
-        {"group_size", static_cast<double>(params.group_size())},
-        {"members", static_cast<double>(soa.members)}};
-    JsonReporter::Fields soa_fields = build_shape;
-    soa_fields.push_back({"memory_bytes", static_cast<double>(soa.memory_bytes)});
-    soa_fields.push_back({"peak_rss_bytes", static_cast<double>(soa.peak_rss)});
-    JsonReporter::Fields legacy_fields = build_shape;
-    legacy_fields.push_back(
-        {"memory_bytes", static_cast<double>(legacy.memory_bytes)});
-    legacy_fields.push_back(
-        {"peak_rss_bytes", static_cast<double>(legacy.peak_rss)});
-    reporter.add_ns_per_op("scale_epoch_build" + suffix, soa.ns_per_build,
-                           soa_fields);
-    reporter.add_ns_per_op("scale_epoch_build" + suffix + "_seed_baseline",
-                           legacy.ns_per_build, legacy_fields);
-    reporter.add("speedup_scale_epoch_build" + suffix,
-                 {{"speedup", legacy.ns_per_build / soa.ns_per_build},
-                  {"memory_ratio",
-                   legacy.memory_bytes
-                       ? static_cast<double>(soa.memory_bytes) /
-                             static_cast<double>(legacy.memory_bytes)
-                       : 0.0},
-                  {"identical_epochs", 1.0}});
-
-    // ---- Round loop at n nodes: pooled runtime vs the seed path ----
-    scenario::RoundLoopConfig pooled;
-    pooled.nodes = point.n;
-    pooled.fanout = 2;
-    pooled.rounds = point.loop_rounds;
-    pooled.payload_words = 12;  // every payload spills: arena territory
-    scenario::RoundLoopConfig seed = pooled;
-    seed.recycle_buffers = false;
-    seed.pool_payloads = false;
-
-    const LoopMeasurement loop_seed = measure_round_loop(seed);
-    const LoopMeasurement loop_pooled = measure_round_loop(pooled);
-    if (loop_seed.result.trace_hash != loop_pooled.result.trace_hash ||
-        loop_seed.result.delivered != loop_pooled.result.delivered) {
-      throw std::logic_error("pooled round loop diverged at n=" +
-                             std::to_string(point.n));
-    }
-
+    // ---- Round loop at n nodes ----
+    scenario::RoundLoopConfig config;
+    config.nodes = point.n;
+    config.fanout = 2;
+    config.rounds = point.loop_rounds;
+    config.payload_words = 12;  // every payload spills
+    const LoopMeasurement loop = measure_round_loop(config, point.build_reps);
     const double messages_per_round =
-        static_cast<double>(loop_pooled.result.delivered) /
+        static_cast<double>(loop.delivered) /
         static_cast<double>(point.loop_rounds);
-    const JsonReporter::Fields loop_shape{
-        {"nodes", static_cast<double>(point.n)},
-        {"messages_per_round", messages_per_round},
-        {"payload_words", 12.0}};
-    JsonReporter::Fields pooled_fields = loop_shape;
-    pooled_fields.push_back(
-        {"peak_rss_bytes", static_cast<double>(loop_pooled.peak_rss)});
-    JsonReporter::Fields seed_fields = loop_shape;
-    seed_fields.push_back(
-        {"peak_rss_bytes", static_cast<double>(loop_seed.peak_rss)});
-    reporter.add_ns_per_op("scale_round_loop" + suffix,
-                           loop_pooled.result.ns_per_round, pooled_fields);
-    reporter.add_ns_per_op("scale_round_loop" + suffix + "_seed_baseline",
-                           loop_seed.result.ns_per_round, seed_fields);
-    reporter.add(
-        "speedup_scale_round_loop" + suffix,
-        {{"speedup",
-          loop_seed.result.ns_per_round / loop_pooled.result.ns_per_round},
-         {"arena_heap_allocations",
-          static_cast<double>(loop_pooled.result.arena_heap_allocations)},
-         {"identical_traffic", 1.0}});
+    reporter.add_ns_per_op(
+        "scale_round_loop" + suffix, loop.ns_per_round,
+        {{"nodes", static_cast<double>(point.n)},
+         {"messages_per_round", messages_per_round},
+         {"payload_words", 12.0},
+         {"peak_rss_bytes", static_cast<double>(loop.peak_rss)}});
 
-    run_peak = std::max({run_peak, legacy.peak_rss, soa.peak_rss,
-                         loop_seed.peak_rss, loop_pooled.peak_rss});
+    run_peak = std::max({run_peak, build.peak_rss, loop.peak_rss});
+    record_calibration(reporter);
 
-    t.add_row({point.n, params.group_size(), legacy.ns_per_build / 1e6,
-               soa.ns_per_build / 1e6, legacy.ns_per_build / soa.ns_per_build,
-               static_cast<double>(soa.peak_rss) / (1024.0 * 1024.0),
-               loop_seed.result.ns_per_round /
-                   loop_pooled.result.ns_per_round});
+    t.add_row({point.n, params.group_size(), build.ns_per_build / 1e6,
+               static_cast<double>(build.peak_rss) / (1024.0 * 1024.0),
+               loop.ns_per_round / 1e6,
+               static_cast<double>(loop.peak_rss) / (1024.0 * 1024.0)});
   }
 
   reporter.set_meta_number("peak_rss_bytes", static_cast<double>(run_peak));
   t.print(std::cout);
-  std::cout << "(identical epochs and identical delivered traffic asserted\n"
-               " for every n; peak_rss_bytes rows are phase-local via the\n"
+  std::cout << "(peak_rss_bytes rows are phase-local via the\n"
                " /proc/self/clear_refs watermark reset.)\n";
 
   return reporter.write(".") ? 0 : 1;

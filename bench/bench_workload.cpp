@@ -11,17 +11,14 @@
 //     them against the committed baseline byte-for-byte if it ever
 //     wants to (today it schema-validates).
 //
-//   * ENGINE PERF PAIR — workload_engine_round vs its _seed_baseline:
-//     the same traffic driven with the runtime's pooled storage
-//     (buffer recycling + payload arena) vs the seed allocation path
-//     (fresh vectors, heap spill).  Delivered traffic is asserted
-//     byte-identical before any number is reported; the speedup row
-//     is what CI's hardware-normalized regression guard watches.
+//   * ENGINE PERF ROW — workload_engine_round: ns per round of benign
+//     kv open-loop traffic with spilling payloads.  CI's regression
+//     guard scores it against the run's meta.calibration_ns (the
+//     frozen calibration kernel in bench_common.hpp).
 //
 //   bench_workload [--fast] [--out DIR]
 #include <cstring>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 
 #include "bench_common.hpp"
@@ -35,8 +32,12 @@ struct BenchConfig {
   std::size_t n = 4096;
   std::size_t trials = 6;
   std::size_t rounds = 192;
-  std::size_t perf_rounds = 256;
 };
+
+/// The engine perf row's FIXED shape: never scaled by --fast, so CI's
+/// fast rerun times the same per-round work as the committed baseline.
+constexpr std::size_t kPerfN = 4096;
+constexpr std::size_t kPerfRounds = 256;
 
 scenario::ScenarioSpec cell_spec(const BenchConfig& config,
                                  scenario::WorkloadAxis::Service service,
@@ -109,17 +110,15 @@ void append_service_rows(bench::JsonReporter& out, const BenchConfig& config) {
   table.print(std::cout);
 }
 
-/// One engine run for the perf pair: benign kv open-loop traffic at a
-/// spill-sized payload, with the storage toggles AND the routing
-/// dispatch seam under test — the optimized side routes requests
-/// through the epoch-resident index, the seed side through the legacy
-/// per-hop binary searches (hop-identical, so traffic stays
-/// byte-identical either way).
-workload::RunResult perf_run(const BenchConfig& config, bool optimized) {
+/// One engine run for the perf row: benign kv open-loop traffic at a
+/// spill-sized payload.
+workload::RunResult perf_run(const BenchConfig& config) {
+  BenchConfig shape = config;
+  shape.n = kPerfN;
   scenario::ScenarioSpec spec = cell_spec(
-      config, scenario::WorkloadAxis::Service::kv,
+      shape, scenario::WorkloadAxis::Service::kv,
       scenario::WorkloadAxis::Loop::open, /*with_adversary=*/false);
-  spec.workload.rounds = config.perf_rounds;
+  spec.workload.rounds = kPerfRounds;
   spec.workload.rate = 8.0;
   Rng rng(spec.seed);
   const workload::World world =
@@ -128,45 +127,23 @@ workload::RunResult perf_run(const BenchConfig& config, bool optimized) {
                               rng());
   workload::Spec engine = workload::engine_spec(spec, false);
   engine.padding_words = 8;  // every request/reply spills
-  engine.recycle_buffers = optimized;
-  engine.pool_payloads = optimized;
-  const bool saved_routing = overlay::routing_index_enabled();
-  overlay::set_routing_index_enabled(optimized);
-  workload::RunResult result = workload::run(service, engine, rng(),
-                                             /*threads=*/1);
-  overlay::set_routing_index_enabled(saved_routing);
-  return result;
+  return workload::run(service, engine, rng(), /*threads=*/1);
 }
 
-void append_perf_pair(bench::JsonReporter& out, const BenchConfig& config) {
-  (void)perf_run(config, true);  // warmup (first-touch, pool spin-up)
-  const workload::RunResult seed_path = perf_run(config, false);
-  const workload::RunResult pooled = perf_run(config, true);
-  if (seed_path.trace_hash != pooled.trace_hash ||
-      seed_path.recorder.completed != pooled.recorder.completed) {
-    // Storage strategy must be invisible in traffic; a divergence is a
-    // runtime-correctness bug, not a perf result.
-    throw std::logic_error(
-        "workload engine: pooled storage diverged from the seed path");
-  }
-  const auto ns_per_round = [](const workload::RunResult& r) {
-    return r.seconds * 1e9 / static_cast<double>(r.rounds_run);
-  };
-  const bench::JsonReporter::Fields shape{
-      {"rounds", static_cast<double>(pooled.rounds_run)},
-      {"messages_per_round",
-       static_cast<double>(pooled.net.delivered) /
-           static_cast<double>(pooled.rounds_run)}};
-  out.add_ns_per_op("workload_engine_round", ns_per_round(pooled), shape);
-  out.add_ns_per_op("workload_engine_round_seed_baseline",
-                    ns_per_round(seed_path), shape);
-  out.add("speedup_workload_engine",
-          {{"speedup", ns_per_round(seed_path) / ns_per_round(pooled)},
-           {"identical_traffic", 1.0}});
-  std::cout << "\nengine round loop: pooled " << ns_per_round(pooled)
-            << " ns/round vs seed path " << ns_per_round(seed_path)
-            << " ns/round (" << ns_per_round(seed_path) / ns_per_round(pooled)
-            << "x, identical traffic)\n";
+/// The fastest of 4 engine runs (see bench::fastest_across_cpus).
+void append_perf_row(bench::JsonReporter& out, const BenchConfig& config) {
+  (void)perf_run(config);  // warmup (first-touch, pool spin-up)
+  workload::RunResult run;
+  const double ns_per_round = bench::fastest_across_cpus(4, [&] {
+    run = perf_run(config);
+    return run.seconds * 1e9 / static_cast<double>(run.rounds_run);
+  });
+  out.add_ns_per_op(
+      "workload_engine_round", ns_per_round,
+      {{"rounds", static_cast<double>(run.rounds_run)},
+       {"messages_per_round", static_cast<double>(run.net.delivered) /
+                                  static_cast<double>(run.rounds_run)}});
+  std::cout << "\nengine round loop: " << ns_per_round << " ns/round\n";
 }
 
 }  // namespace
@@ -180,7 +157,6 @@ int main(int argc, char** argv) {
       config.n = 256;
       config.trials = 2;
       config.rounds = 96;
-      config.perf_rounds = 128;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_dir = argv[++i];
     } else {
@@ -197,8 +173,10 @@ int main(int argc, char** argv) {
             << ", rounds = " << config.rounds << " per trial\n";
 
   bench::JsonReporter reporter("workload");
+  bench::record_calibration(reporter);
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   append_service_rows(reporter, config);
-  append_perf_pair(reporter, config);
+  append_perf_row(reporter, config);
+  bench::record_calibration(reporter);
   return reporter.write(out_dir) ? 0 : 1;
 }

@@ -2,13 +2,12 @@
 //
 // Runs a filtered slice of the scenario registry (the adversary x
 // topology matrix; see src/scenario/) and emits both a lab-notebook
-// table and BENCH_scenarios.json, including the network round-loop
-// batching before/after rows.  CI's campaign-smoke job runs
+// table and BENCH_scenarios.json.  CI's campaign-smoke job runs
 // `campaign --trials 2` over the full registry and validates the JSON.
 //
 //   campaign [--list] [--filter <substring|campaign>] [--trials N]
 //            [--seed S] [--n N] [--threads T] [--out DIR|FILE.json]
-//            [--no-roundloop] [--churn NAME]
+//            [--churn NAME]
 //            [--workload kv|lookup] [--loop open|closed] [--rate R]
 //            [--clients N] [--faults PRESET] [--adversary NAME]
 //            [--retries]
@@ -49,7 +48,6 @@ void usage(const char* argv0) {
       << "  --out PATH       where to write the JSON: a directory (gets\n"
       << "                   BENCH_scenarios.json inside) or a path ending\n"
       << "                   in .json (written verbatim); default .\n"
-      << "  --no-roundloop   skip the network round-loop perf rows\n"
       << "  --churn NAME     churn-schedule preset applied to every cell:\n"
       << "                   ";
   for (const auto& preset : tg::scenario::churn_presets()) {
@@ -126,7 +124,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   bool list_only = false;
-  bool round_loop = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -207,8 +204,6 @@ int main(int argc, char** argv) {
       metrics_out = next();
     } else if (arg == "--trace-out") {
       trace_out = next();
-    } else if (arg == "--no-roundloop") {
-      round_loop = false;
     } else {
       usage(argv[0]);
       return arg == "--help" || arg == "-h" ? 0 : 2;
@@ -335,9 +330,6 @@ int main(int argc, char** argv) {
   // cell timings stay interpretable.
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   scenario::CampaignRunner::report(results, reporter);
-  if (round_loop) {
-    scenario::append_round_loop_benchmark(reporter);
-  }
   const bool wrote = ends_with_json(out_dir) ? reporter.write_file(out_dir)
                                              : reporter.write(out_dir);
   if (!wrote) return 1;

@@ -91,22 +91,12 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
   // telemetry publishes before/after deltas of this build only.
   const BuildStats st_before = st;
 
-  // Streaming assembly: in soa mode each group's accepted members are
-  // appended straight into the slab's open span (finish_group sorts
-  // and dedupes in place), so the build never materializes a per-group
-  // candidate vector.  The legacy layout keeps the scratch-vector
-  // path.  Both run the SAME per-slot decision sequence below, so RNG
-  // consumption — and therefore the built epoch — is byte-identical
-  // across layouts.
-  const bool soa = default_group_layout() == GroupLayout::soa;
+  // Streaming assembly: each group's accepted members are appended
+  // straight into the slab's open span (finish_group sorts and dedupes
+  // in place), so the build never materializes a per-group candidate
+  // vector.
   GroupTable table;
-  std::vector<Group> groups;
-  std::vector<std::uint32_t> scratch;
-  if (soa) {
-    table.reserve(n, n * g);
-  } else {
-    groups.resize(n);
-  }
+  table.reserve(n, n * g);
 
   // Membership-request keys h(w, slot) are independent single-block
   // oracle calls; draw each leader's g keys through the multi-lane
@@ -134,20 +124,7 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t w = new_pop->table().at(i).raw();
 
-    GroupId id{};
-    if (soa) {
-      id = table.begin_group(static_cast<std::uint32_t>(i));
-    } else {
-      groups[i].leader = i;
-      scratch.clear();
-    }
-    const auto emit = [&](std::uint32_t member) {
-      if (soa) {
-        table.add_member(member);
-      } else {
-        scratch.push_back(member);
-      }
-    };
+    const GroupId id = table.begin_group(static_cast<std::uint32_t>(i));
 
     // ---- Group-membership requests (via the bootstrap group) ----
     std::size_t corrupted = 0;
@@ -162,7 +139,8 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
         if (config_.adversary_corrupts_on_failure && !old_bad_indices.empty()) {
           // The adversary answers the search: it plants one of its own
           // old IDs as the member.
-          emit(old_bad_indices[rng.below(old_bad_indices.size())]);
+          table.add_member(
+              old_bad_indices[rng.below(old_bad_indices.size())]);
           ++corrupted;
         }
         continue;
@@ -178,28 +156,16 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
         ++rejected;
         continue;
       }
-      emit(static_cast<std::uint32_t>(member));
+      table.add_member(static_cast<std::uint32_t>(member));
     }
+    table.finish_group();  // sort + dedupe the open span in place
     std::size_t bad = 0;
-    if (soa) {
-      table.finish_group();  // sort + dedupe the open span in place
-      for (const auto m : table.members(id)) {
-        if (old_pop.is_bad(m)) ++bad;
-      }
-      table.set_bad_members(id, static_cast<std::uint32_t>(bad));
-      table.set_corrupted_slots(id, static_cast<std::uint32_t>(corrupted));
-      table.set_rejected_slots(id, static_cast<std::uint32_t>(rejected));
-    } else {
-      Group& grp = groups[i];
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-      grp.members = scratch;
-      grp.corrupted_slots = corrupted;
-      grp.rejected_slots = rejected;
-      for (const auto m : grp.members) {
-        if (old_pop.is_bad(m)) ++grp.bad_members;
-      }
+    for (const auto m : table.members(id)) {
+      if (old_pop.is_bad(m)) ++bad;
     }
+    table.set_bad_members(id, static_cast<std::uint32_t>(bad));
+    table.set_corrupted_slots(id, static_cast<std::uint32_t>(corrupted));
+    table.set_rejected_slots(id, static_cast<std::uint32_t>(rejected));
 
     // ---- Neighbor requests (final link resolution; Lemma 8) ----
     bool confused = false;
@@ -220,18 +186,11 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
         confused = true;  // erroneous rejection leaves the link unset
       }
     }
-    if (soa) {
-      table.set_confused(id, confused);
-    } else {
-      groups[i].confused = confused;
-    }
+    table.set_confused(id, confused);
   }
 
-  auto graph =
-      soa ? std::make_shared<GroupGraph>(params_, new_pop, old.pop,
-                                         std::move(table))
-          : std::make_shared<GroupGraph>(params_, new_pop, old.pop,
-                                         std::move(groups));
+  auto graph = std::make_shared<GroupGraph>(params_, new_pop, old.pop,
+                                            std::move(table));
   for (std::size_t i = 0; i < graph->size(); ++i) {
     if (graph->group(i).confused) ++st.confused_groups;
     if (graph->group(i).is_bad(params_)) ++st.bad_groups;

@@ -7,14 +7,12 @@
 // incorrectly (Section III-B).  RED = bad or confused; red groups are
 // adversary-controlled for analysis purposes.
 //
-// Two representations exist (see group_table.hpp):
-//   * `Group` — the legacy array-of-structs record, one heap vector of
-//     member indices per group.  Kept as the hand-construction type
-//     (tests, bft micro-harnesses) and as the selectable legacy layout.
-//   * `GroupTable` — the structure-of-arrays layout used at scale: one
-//     contiguous member slab plus packed per-group columns.
-// Consumers read groups through `GroupView`, which projects either
-// representation as a span of member indices plus the scalar columns.
+// Group graphs store their groups in a `GroupTable` (one contiguous
+// member slab plus packed per-group columns; see group_table.hpp) and
+// hand them out as `GroupView`s: a span of member indices plus the
+// scalar columns.  `Group` is a standalone value type with one owned
+// member vector, for hand-built groups (tests, bft micro-harnesses);
+// it converts to a `GroupView` too.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +24,8 @@
 namespace tg::core {
 
 /// Good-group predicate per Section I-C / III: size within bounds and
-/// bad membership at most the threshold.  Shared by both group
-/// representations so the classification cannot drift between layouts.
+/// bad membership at most the threshold.  Shared by `GroupTable`'s
+/// column scans and `GroupView`, so the classification cannot drift.
 [[nodiscard]] inline bool group_is_bad(std::size_t size,
                                        std::size_t bad_members,
                                        const Params& p) noexcept {
@@ -76,9 +74,8 @@ struct Group {
 };
 
 /// Contiguous, read-only view over a group's member indices.  Unlike
-/// std::span, equality compares ELEMENTS (the tests' byte-identity
-/// assertions predate the SoA layout and must keep meaning "same
-/// membership", not "same storage").
+/// std::span, equality compares ELEMENTS ("same membership", not "same
+/// storage").
 class MemberSpan {
  public:
   using value_type = std::uint32_t;
@@ -122,10 +119,9 @@ class MemberSpan {
   std::size_t size_ = 0;
 };
 
-/// Read-only projection of one group in either layout: what the
-/// legacy `const Group&` accessor used to hand out, minus ownership.
-/// Cheap to copy; valid while the owning GroupGraph (or Group) lives
-/// and its membership is not mutated.
+/// Read-only projection of one group: a span over its members plus the
+/// scalar columns.  Cheap to copy; valid while the owning GroupGraph
+/// (or Group) lives and its membership is not mutated.
 struct GroupView {
   std::size_t leader = 0;
   MemberSpan members;
@@ -135,7 +131,7 @@ struct GroupView {
   bool confused = false;
 
   GroupView() = default;
-  GroupView(const Group& g) noexcept  // NOLINT: implicit legacy interop
+  GroupView(const Group& g) noexcept  // NOLINT: implicit by design
       : leader(g.leader),
         members(g.members),
         bad_members(g.bad_members),

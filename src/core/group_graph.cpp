@@ -9,8 +9,8 @@ namespace tg::core {
 
 namespace {
 
-/// Shared by both pristine layouts: one build counter plus an instant
-/// marking the (n, groups) shape in the trace.
+/// One build counter plus an instant marking the (n, groups) shape in
+/// the trace.
 void record_pristine_build(std::size_t n, std::size_t groups) {
   if (auto* session = telemetry::active()) {
     session->count(telemetry::Probe::core_pristine_builds);
@@ -24,27 +24,10 @@ void record_pristine_build(std::size_t n, std::size_t groups) {
 GroupGraph::GroupGraph(const Params& params,
                        std::shared_ptr<const Population> leaders,
                        std::shared_ptr<const Population> member_pool,
-                       std::vector<Group> groups)
-    : params_(params),
-      leaders_(std::move(leaders)),
-      member_pool_(std::move(member_pool)) {
-  layout_ = default_group_layout();
-  if (layout_ == GroupLayout::soa) {
-    table_ = GroupTable::from_groups(groups);
-  } else {
-    groups_ = std::move(groups);
-  }
-  finish_init();
-}
-
-GroupGraph::GroupGraph(const Params& params,
-                       std::shared_ptr<const Population> leaders,
-                       std::shared_ptr<const Population> member_pool,
                        GroupTable table)
     : params_(params),
       leaders_(std::move(leaders)),
       member_pool_(std::move(member_pool)),
-      layout_(GroupLayout::soa),
       table_(std::move(table)) {
   finish_init();
 }
@@ -73,116 +56,69 @@ GroupGraph GroupGraph::pristine(const Params& params,
   const std::size_t g = params.group_size();
   auto h = membership_oracle.stream_pair();
 
-  if (default_group_layout() == GroupLayout::soa) {
-    // Streaming build: membership points flow through the multi-lane
-    // engine straight into the slab, batched ACROSS leaders so lane
-    // occupancy stays full even for tiny groups.  The oracle is a pure
-    // function of (w, slot), so batching shape cannot perturb results.
-    GroupTable table;
-    table.reserve(n, n * g);
-    constexpr std::size_t kBatchPoints = 1024;
-    const std::size_t leaders_per_batch =
-        g == 0 ? 1 : std::max<std::size_t>(1, kBatchPoints / g);
-    std::vector<std::uint64_t> ws(leaders_per_batch * g);
-    std::vector<std::uint64_t> slots(leaders_per_batch * g);
-    std::vector<std::uint64_t> points(leaders_per_batch * g);
-    for (std::size_t base = 0; base < n; base += leaders_per_batch) {
-      const std::size_t block = std::min(leaders_per_batch, n - base);
-      for (std::size_t j = 0; j < block; ++j) {
-        const std::uint64_t w = pop->table().at(base + j).raw();
-        for (std::size_t slot = 0; slot < g; ++slot) {
-          ws[j * g + slot] = w;
-          slots[j * g + slot] = slot;
-        }
-      }
-      h.eval_many(ws.data(), slots.data(), points.data(), block * g);
-      for (std::size_t j = 0; j < block; ++j) {
-        const GroupId id =
-            table.begin_group(static_cast<std::uint32_t>(base + j));
-        for (std::size_t slot = 0; slot < g; ++slot) {
-          table.add_member(static_cast<std::uint32_t>(
-              pop->table().successor_index(ids::RingPoint{points[j * g + slot]})));
-        }
-        // Deduplicate: a physical ID holds one membership per group.
-        table.finish_group();
-        std::uint32_t bad = 0;
-        for (const auto m : table.members(id)) {
-          if (pop->is_bad(m)) ++bad;
-        }
-        table.set_bad_members(id, bad);
+  // Streaming build: membership points flow through the multi-lane
+  // engine straight into the slab, batched ACROSS leaders so lane
+  // occupancy stays full even for tiny groups.  The oracle is a pure
+  // function of (w, slot), so batching shape cannot perturb results.
+  GroupTable table;
+  table.reserve(n, n * g);
+  constexpr std::size_t kBatchPoints = 1024;
+  const std::size_t leaders_per_batch =
+      g == 0 ? 1 : std::max<std::size_t>(1, kBatchPoints / g);
+  std::vector<std::uint64_t> ws(leaders_per_batch * g);
+  std::vector<std::uint64_t> slots(leaders_per_batch * g);
+  std::vector<std::uint64_t> points(leaders_per_batch * g);
+  for (std::size_t base = 0; base < n; base += leaders_per_batch) {
+    const std::size_t block = std::min(leaders_per_batch, n - base);
+    for (std::size_t j = 0; j < block; ++j) {
+      const std::uint64_t w = pop->table().at(base + j).raw();
+      for (std::size_t slot = 0; slot < g; ++slot) {
+        ws[j * g + slot] = w;
+        slots[j * g + slot] = slot;
       }
     }
-    record_pristine_build(n, table.size());
-    return GroupGraph(params, pop, pop, std::move(table));
-  }
-
-  std::vector<Group> groups(n);
-  std::vector<std::uint32_t> scratch;
-  // All g membership points of a leader are independent single-block
-  // oracle calls — exactly the multi-lane engine's shape, so draw them
-  // per leader in one lane-batched sweep.
-  std::vector<std::uint64_t> slots(g), points(g);
-  for (std::size_t slot = 0; slot < g; ++slot) slots[slot] = slot;
-  for (std::size_t i = 0; i < n; ++i) {
-    Group& grp = groups[i];
-    grp.leader = i;
-    scratch.clear();
-    const std::uint64_t w = pop->table().at(i).raw();
-    h.eval_many(w, slots.data(), points.data(), g);
-    for (std::size_t slot = 0; slot < g; ++slot) {
-      const auto member = static_cast<std::uint32_t>(
-          pop->table().successor_index(ids::RingPoint{points[slot]}));
-      scratch.push_back(member);
-    }
-    // Deduplicate: a physical ID holds one membership per group.
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    grp.members = scratch;
-    for (const auto m : grp.members) {
-      if (pop->is_bad(m)) ++grp.bad_members;
+    h.eval_many(ws.data(), slots.data(), points.data(), block * g);
+    for (std::size_t j = 0; j < block; ++j) {
+      const GroupId id =
+          table.begin_group(static_cast<std::uint32_t>(base + j));
+      for (std::size_t slot = 0; slot < g; ++slot) {
+        table.add_member(static_cast<std::uint32_t>(
+            pop->table().successor_index(ids::RingPoint{points[j * g + slot]})));
+      }
+      // Deduplicate: a physical ID holds one membership per group.
+      table.finish_group();
+      std::uint32_t bad = 0;
+      for (const auto m : table.members(id)) {
+        if (pop->is_bad(m)) ++bad;
+      }
+      table.set_bad_members(id, bad);
     }
   }
-  record_pristine_build(n, groups.size());
-  return GroupGraph(params, pop, pop, std::move(groups));
+  record_pristine_build(n, table.size());
+  return GroupGraph(params, pop, pop, std::move(table));
 }
 
 std::size_t GroupGraph::memory_bytes() const noexcept {
-  if (layout_ == GroupLayout::soa) return table_.memory_bytes();
-  std::size_t total = groups_.capacity() * sizeof(Group);
-  for (const auto& grp : groups_) {
-    total += grp.members.capacity() * sizeof(std::uint32_t);
-  }
-  return total;
+  return table_.memory_bytes();
 }
 
 std::span<std::uint32_t> GroupGraph::mutable_members(std::size_t i) {
   check_index(i);
-  if (layout_ == GroupLayout::soa) return table_.mutable_members(GroupId{i});
-  auto& m = groups_[i].members;
-  return {m.data(), m.size()};
+  return table_.mutable_members(GroupId{i});
 }
 
 void GroupGraph::truncate_members(std::size_t i, std::size_t new_size) {
   check_index(i);
-  if (layout_ == GroupLayout::soa) {
-    table_.truncate_members(GroupId{i}, new_size);
-  } else if (new_size < groups_[i].members.size()) {
-    groups_[i].members.resize(new_size);
-  }
+  table_.truncate_members(GroupId{i}, new_size);
 }
 
 void GroupGraph::assign_members(std::size_t i, const std::uint32_t* data,
                                 std::size_t count) {
   check_index(i);
-  if (layout_ == GroupLayout::soa) {
-    table_.assign_members(GroupId{i}, data, count);
-  } else {
-    groups_[i].members.assign(data, data + count);
-  }
+  table_.assign_members(GroupId{i}, data, count);
 }
 
 std::size_t GroupGraph::compact_storage() {
-  if (layout_ != GroupLayout::soa) return 0;
   const std::size_t live = table_.member_count();
   if (table_.slab_size() <= live + live / 4) return 0;
   return table_.compact();
@@ -190,38 +126,22 @@ std::size_t GroupGraph::compact_storage() {
 
 void GroupGraph::set_bad_members(std::size_t i, std::size_t n) {
   check_index(i);
-  if (layout_ == GroupLayout::soa) {
-    table_.set_bad_members(GroupId{i}, static_cast<std::uint32_t>(n));
-  } else {
-    groups_[i].bad_members = n;
-  }
+  table_.set_bad_members(GroupId{i}, static_cast<std::uint32_t>(n));
 }
 
 void GroupGraph::set_corrupted_slots(std::size_t i, std::size_t n) {
   check_index(i);
-  if (layout_ == GroupLayout::soa) {
-    table_.set_corrupted_slots(GroupId{i}, static_cast<std::uint32_t>(n));
-  } else {
-    groups_[i].corrupted_slots = n;
-  }
+  table_.set_corrupted_slots(GroupId{i}, static_cast<std::uint32_t>(n));
 }
 
 void GroupGraph::set_rejected_slots(std::size_t i, std::size_t n) {
   check_index(i);
-  if (layout_ == GroupLayout::soa) {
-    table_.set_rejected_slots(GroupId{i}, static_cast<std::uint32_t>(n));
-  } else {
-    groups_[i].rejected_slots = n;
-  }
+  table_.set_rejected_slots(GroupId{i}, static_cast<std::uint32_t>(n));
 }
 
 void GroupGraph::set_confused(std::size_t i, bool confused) {
   check_index(i);
-  if (layout_ == GroupLayout::soa) {
-    table_.set_confused(GroupId{i}, confused);
-  } else {
-    groups_[i].confused = confused;
-  }
+  table_.set_confused(GroupId{i}, confused);
 }
 
 void GroupGraph::mark_red_synthetic(double pf, Rng& rng) {
@@ -233,14 +153,7 @@ void GroupGraph::mark_red_synthetic(double pf, Rng& rng) {
 }
 
 void GroupGraph::reclassify() {
-  if (layout_ == GroupLayout::soa) {
-    table_.classify_red(params_, composition_red_);
-    return;
-  }
-  composition_red_.assign(groups_.size(), 0);
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    composition_red_[i] = groups_[i].is_red(params_) ? 1 : 0;
-  }
+  table_.classify_red(params_, composition_red_);
 }
 
 std::size_t GroupGraph::red_count() const noexcept {
@@ -257,41 +170,20 @@ double GroupGraph::red_fraction() const noexcept {
 
 double GroupGraph::bad_fraction() const noexcept {
   if (size() == 0) return 0.0;
-  std::size_t bad = 0;
-  if (layout_ == GroupLayout::soa) {
-    bad = table_.count_bad(params_);
-  } else {
-    for (const auto& g : groups_) {
-      if (g.is_bad(params_)) ++bad;
-    }
-  }
-  return static_cast<double>(bad) / static_cast<double>(size());
+  return static_cast<double>(table_.count_bad(params_)) /
+         static_cast<double>(size());
 }
 
 double GroupGraph::confused_fraction() const noexcept {
   if (size() == 0) return 0.0;
-  std::size_t confused = 0;
-  if (layout_ == GroupLayout::soa) {
-    confused = table_.count_confused();
-  } else {
-    for (const auto& g : groups_) {
-      if (g.confused) ++confused;
-    }
-  }
-  return static_cast<double>(confused) / static_cast<double>(size());
+  return static_cast<double>(table_.count_confused()) /
+         static_cast<double>(size());
 }
 
 double GroupGraph::majority_bad_fraction() const noexcept {
   if (size() == 0) return 0.0;
-  std::size_t lost = 0;
-  if (layout_ == GroupLayout::soa) {
-    lost = table_.count_majority_bad();
-  } else {
-    for (const auto& g : groups_) {
-      if (!g.has_good_majority()) ++lost;
-    }
-  }
-  return static_cast<double>(lost) / static_cast<double>(size());
+  return static_cast<double>(table_.count_majority_bad()) /
+         static_cast<double>(size());
 }
 
 }  // namespace tg::core

@@ -11,12 +11,10 @@
 // the model they are stated in, and then re-checked against the
 // composition-derived classification.
 //
-// Storage: each graph adopts one of two epoch representations at
-// construction (see group_table.hpp) — the SoA `GroupTable` (default;
-// one member slab + packed columns) or the legacy AoS `std::vector<
-// Group>`.  All reads go through `GroupView`/`MemberSpan` and all
-// mutation through the layout-agnostic member/counter setters below,
-// so churn and self-heal run one code path against either layout.
+// Storage: one `GroupTable` per graph (see group_table.hpp) — a
+// single member slab plus packed per-group columns.  Reads go through
+// `GroupView`/`MemberSpan`; churn and self-heal mutate through the
+// member/counter setters below.
 #pragma once
 
 #include <memory>
@@ -36,18 +34,10 @@ namespace tg::core {
 
 class GroupGraph {
  public:
-  /// Assemble from explicitly built groups (the legacy builder path
-  /// and hand-built test graphs).  Converts to the SoA table when the
-  /// process-wide default layout is `soa`.  `leaders` is this graph's
-  /// population; `member_pool` the population whose IDs fill the
-  /// groups (previous epoch's IDs in the dynamic construction; equal
-  /// to `leaders` for pristine graphs).
-  GroupGraph(const Params& params,
-             std::shared_ptr<const Population> leaders,
-             std::shared_ptr<const Population> member_pool,
-             std::vector<Group> groups);
-
-  /// Assemble from a streaming-built SoA table (always soa layout).
+  /// Assemble from a streaming-built table.  `leaders` is this
+  /// graph's population; `member_pool` the population whose IDs fill
+  /// the groups (previous epoch's IDs in the dynamic construction;
+  /// equal to `leaders` for pristine graphs).
   GroupGraph(const Params& params,
              std::shared_ptr<const Population> leaders,
              std::shared_ptr<const Population> member_pool,
@@ -72,44 +62,28 @@ class GroupGraph {
     return *topology_;
   }
 
-  /// The representation this graph was built with.
-  [[nodiscard]] GroupLayout layout() const noexcept { return layout_; }
+  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return layout_ == GroupLayout::soa ? table_.size() : groups_.size();
-  }
-
-  /// Read-only projection of group i (bounds-checked, either layout).
+  /// Read-only projection of group i (bounds-checked).
   [[nodiscard]] GroupView group(std::size_t i) const {
     check_index(i);
-    GroupView v = layout_ == GroupLayout::soa ? table_.view(GroupId{i})
-                                              : GroupView(groups_[i]);
-    // Test-only seam: detail::set_layout_divergence_fault breaks the
-    // layout-equivalence contract on purpose so the property harness
-    // can prove it catches, shrinks and replays a real divergence.
-    if (i == 0 && layout_ == GroupLayout::soa &&
-        detail::layout_divergence_fault()) {
-      ++v.bad_members;
-    }
-    return v;
+    return table_.view(GroupId{i});
   }
 
-  /// Member-index span of group i (bounds-checked, either layout).
+  /// Member-index span of group i (bounds-checked).
   [[nodiscard]] MemberSpan members(std::size_t i) const {
     check_index(i);
-    return layout_ == GroupLayout::soa ? table_.members(GroupId{i})
-                                       : MemberSpan(groups_[i].members);
+    return table_.members(GroupId{i});
   }
 
   [[nodiscard]] std::size_t group_size(std::size_t i) const noexcept {
-    return layout_ == GroupLayout::soa ? table_.members(GroupId{i}).size()
-                                       : groups_[i].members.size();
+    return table_.members(GroupId{i}).size();
   }
 
   /// Approximate heap footprint of the membership storage.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-  // ---- Layout-agnostic mutation (churn / self-heal) ---------------------
+  // ---- Mutation (churn / self-heal) --------------------------------------
   // Spans returned by mutable_members (and views handed out by group /
   // members) are invalidated by assign_members.
 
@@ -119,7 +93,7 @@ class GroupGraph {
                       std::size_t count);
   /// Reclaim slab gaps left by assign_members relocations when the
   /// dead fraction exceeds ~1/4 of the live membership (no-op below
-  /// the threshold, and under the legacy layout, which has no slab).
+  /// the threshold).
   /// Invalidates outstanding member spans.  Returns bytes reclaimed.
   std::size_t compact_storage();
   void set_bad_members(std::size_t i, std::size_t n);
@@ -167,9 +141,7 @@ class GroupGraph {
   std::shared_ptr<const Population> leaders_;
   std::shared_ptr<const Population> member_pool_;
   std::unique_ptr<overlay::InputGraph> topology_;
-  GroupLayout layout_ = GroupLayout::soa;
-  GroupTable table_;           ///< soa storage (empty in legacy mode)
-  std::vector<Group> groups_;  ///< legacy storage (empty in soa mode)
+  GroupTable table_;
   std::vector<std::uint8_t> composition_red_;
   std::vector<std::uint8_t> synthetic_red_;
   bool synthetic_mode_ = false;

@@ -1,38 +1,8 @@
 #include "core/group_table.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace tg::core {
-
-namespace {
-std::atomic<GroupLayout> g_default_layout{GroupLayout::soa};
-std::atomic<bool> g_layout_divergence_fault{false};
-}  // namespace
-
-GroupLayout default_group_layout() noexcept {
-  return g_default_layout.load(std::memory_order_relaxed);
-}
-
-void set_default_group_layout(GroupLayout layout) noexcept {
-  g_default_layout.store(layout, std::memory_order_relaxed);
-}
-
-const char* group_layout_name(GroupLayout layout) noexcept {
-  return layout == GroupLayout::soa ? "soa" : "legacy_aos";
-}
-
-namespace detail {
-
-void set_layout_divergence_fault(bool on) noexcept {
-  g_layout_divergence_fault.store(on, std::memory_order_relaxed);
-}
-
-bool layout_divergence_fault() noexcept {
-  return g_layout_divergence_fault.load(std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 void GroupTable::reserve(std::size_t groups, std::size_t member_capacity) {
   slab_.reserve(member_capacity);
@@ -88,26 +58,6 @@ void GroupTable::finish_group() {
   slab_.resize(offset_.back() + kept);
   length_.back() = static_cast<std::uint32_t>(kept);
   capacity_.back() = static_cast<std::uint32_t>(kept);
-}
-
-GroupTable GroupTable::from_groups(const std::vector<Group>& groups) {
-  GroupTable table;
-  std::size_t total = 0;
-  for (const auto& g : groups) total += g.members.size();
-  table.reserve(groups.size(), total);
-  for (const auto& g : groups) {
-    const GroupId id =
-        table.begin_group(static_cast<std::uint32_t>(g.leader));
-    table.slab_.insert(table.slab_.end(), g.members.begin(), g.members.end());
-    table.length_.back() = static_cast<std::uint32_t>(g.members.size());
-    table.capacity_.back() = table.length_.back();
-    table.set_bad_members(id, static_cast<std::uint32_t>(g.bad_members));
-    table.set_corrupted_slots(id,
-                              static_cast<std::uint32_t>(g.corrupted_slots));
-    table.set_rejected_slots(id, static_cast<std::uint32_t>(g.rejected_slots));
-    table.set_confused(id, g.confused);
-  }
-  return table;
 }
 
 void GroupTable::truncate_members(GroupId g, std::size_t new_size) noexcept {

@@ -1,16 +1,14 @@
-// GroupTable: the structure-of-arrays epoch representation.
+// GroupTable: the epoch representation of a group graph.
 //
-// The legacy layout stores one `Group` per leader, each owning a heap
-// `std::vector` of member indices — n allocations per graph and a
-// pointer chase per group visited.  At the ROADMAP's target scale
-// (n = 10^6 leaders, |G| ~ d1 ln ln n members each) that is a million
-// small allocations and a memory-fat epoch.  GroupTable keeps ONE
-// contiguous member-index slab for the whole graph plus packed
+// One contiguous member-index slab for the whole graph plus packed
 // per-group columns (offset/length spans into the slab, leader index,
 // bad/corrupted/rejected counters, confused flag), so
 //   * building a graph performs O(1) amortized allocations,
 //   * red/good classification scans run cache-linear over columns,
 //   * per-group membership reads are a span into the slab.
+// At the ROADMAP's target scale (n = 10^6 leaders, |G| ~ d1 ln ln n
+// members each) this replaces what would otherwise be a million small
+// heap vectors.
 //
 // Index-type contract: `GroupId` indexes the per-group columns (one
 // entry per leader, dense, construction order); `MemberSlot` indexes
@@ -19,12 +17,6 @@
 // ring table) — a third index space.  The wrappers exist so the three
 // spaces cannot be silently mixed at the call sites that juggle all
 // of them (builder, self-heal, churn).
-//
-// Layout selection: `GroupGraph` consults `default_group_layout()` at
-// construction (soa by default; legacy_aos selectable) — the same
-// keep-the-old-path-selectable contract as Network::set_payload_pooling
-// and set_buffer_recycling, so tests can assert the two layouts
-// produce byte-identical epochs, classifications and traffic.
 #pragma once
 
 #include <cstddef>
@@ -68,31 +60,6 @@ struct MemberSlot {
   }
 };
 
-/// Which epoch representation GroupGraph instances adopt at
-/// construction.
-enum class GroupLayout : std::uint8_t {
-  soa,        ///< GroupTable slab + columns (the scale layout)
-  legacy_aos  ///< one Group struct per leader (the seed layout)
-};
-
-[[nodiscard]] GroupLayout default_group_layout() noexcept;
-/// Process-wide toggle; graphs built afterwards adopt the new layout.
-/// Existing graphs keep the layout they were built with.
-void set_default_group_layout(GroupLayout layout) noexcept;
-/// Introspection for seam-sweep reports: "soa" / "legacy_aos".
-[[nodiscard]] const char* group_layout_name(GroupLayout layout) noexcept;
-
-namespace detail {
-/// TEST-ONLY fault injection: while enabled, `GroupGraph::group(0)`
-/// misreports `bad_members` (+1) under the SoA layout, deliberately
-/// breaking the layout-equivalence contract.  Exists so the property
-/// harness's catch -> shrink -> replay loop can be exercised end to
-/// end against a real divergence (tests/test_proptest.cpp); never
-/// enabled outside tests.
-void set_layout_divergence_fault(bool on) noexcept;
-[[nodiscard]] bool layout_divergence_fault() noexcept;
-}  // namespace detail
-
 class GroupTable {
  public:
   GroupTable() = default;
@@ -122,9 +89,6 @@ class GroupTable {
   void add_member(std::uint32_t member_index);
   /// Sort + dedupe the open span in place and close the group.
   void finish_group();
-
-  /// Ingest a legacy AoS graph (conversion path; preserves order).
-  static GroupTable from_groups(const std::vector<Group>& groups);
 
   // ---- Reads ------------------------------------------------------------
 
@@ -204,7 +168,6 @@ class GroupTable {
   std::vector<std::uint32_t> corrupted_slots_;
   std::vector<std::uint32_t> rejected_slots_;
   std::vector<std::uint8_t> confused_;
-
 };
 
 }  // namespace tg::core

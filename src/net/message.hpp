@@ -4,8 +4,8 @@
 // exchanges IDs, hash outputs, votes or shares — all 64-bit values —
 // so a schema-free word sequence keeps the runtime protocol-agnostic
 // without type erasure.  Storage is `Words`: the common short payload
-// lives inline in the Message, and longer payloads spill into blocks
-// pooled by the carrying Network's WordArena (see words.hpp).
+// lives inline in the Message, and a longer payload spills into one
+// heap block (see words.hpp).
 #pragma once
 
 #include <cstdint>

@@ -147,8 +147,7 @@ void Network::start() {
   started_ = true;
   Lane lane;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    Context ctx(i, round_, lane.sends, lane.wakes,
-                pool_payloads_ ? &arena_ : nullptr);
+    Context ctx(i, round_, lane.sends, lane.wakes);
     nodes_[i]->on_start(ctx);
     route_outbox(lane.sends);
     schedule_wakes(lane.wakes);
@@ -203,12 +202,11 @@ void Network::gather(std::vector<Message>& deliveries) {
   inbox_.clear();
 }
 
-void Network::run_lane(Lane& lane, const Message* deliveries,
-                       WordArena* arena) {
+void Network::run_lane(Lane& lane, const Message* deliveries) {
   for (std::size_t k = lane.begin; k < lane.end; ++k) {
     const Active& a = active_[k];
     Node& node = *nodes_[a.node];
-    Context ctx(a.node, round_, lane.sends, lane.wakes, arena);
+    Context ctx(a.node, round_, lane.sends, lane.wakes);
     node.on_messages(
         std::span<const Message>(deliveries + a.begin, a.end - a.begin), ctx);
     node.on_round_end(ctx);
@@ -231,23 +229,16 @@ std::size_t Network::run_round() {
     slot.clear();
   }
 
-  // Per-round buffers.  Recycled mode reuses the network-owned ones
-  // (allocation-free once warm; the last round's deliveries die here,
-  // before any handler allocates); otherwise every round starts from
-  // fresh vectors, preserved as the measurable "before" of recycling.
-  std::vector<Message> fresh_deliveries;
-  std::vector<Lane> fresh_lanes;
-  auto& deliveries = recycle_buffers_ ? deliveries_ : fresh_deliveries;
-  auto& lanes = recycle_buffers_ ? lanes_ : fresh_lanes;
-  deliveries.clear();
-  gather(deliveries);
-  if (!recycle_buffers_) std::vector<Message>().swap(inbox_);
+  // The network-owned buffers are reused (allocation-free once warm);
+  // the last round's deliveries die here, before any handler runs.
+  deliveries_.clear();
+  gather(deliveries_);
 
   // Trace in delivery order: the determinism anchor (the trace hash and
   // the per-node delivery order are fixed here, before any parallelism
   // starts).
-  for (const Message& m : deliveries) absorb_trace(m);
-  const std::size_t delivered = deliveries.size();
+  for (const Message& m : deliveries_) absorb_trace(m);
+  const std::size_t delivered = deliveries_.size();
   stats_.delivered += delivered;
 
   // Handler phase: node i's handlers touch only node i's state and its
@@ -255,17 +246,16 @@ std::size_t Network::run_round() {
   // race-free; lanes are routed in order afterwards, making results
   // independent of the lane split and worker count.  Runs on the
   // persistent global pool — no thread churn per round.
-  WordArena* const arena = pool_payloads_ ? &arena_ : nullptr;
   const std::size_t active = active_.size();
   const std::size_t lane_count =
       threads_ <= 1 || active < 2 ? 1 : std::min(active, threads_ * 4);
-  if (lanes.size() < lane_count) lanes.resize(lane_count);
+  if (lanes_.size() < lane_count) lanes_.resize(lane_count);
   for (std::size_t l = 0; l < lane_count; ++l) {
-    lanes[l].begin = active * l / lane_count;
-    lanes[l].end = active * (l + 1) / lane_count;
+    lanes_[l].begin = active * l / lane_count;
+    lanes_[l].end = active * (l + 1) / lane_count;
   }
   const auto run = [&](std::size_t l) {
-    run_lane(lanes[l], deliveries.data(), arena);
+    run_lane(lanes_[l], deliveries_.data());
   };
   if (lane_count == 1) {
     run(0);
@@ -275,8 +265,8 @@ std::size_t Network::run_round() {
 
   // Sequential merge in node order.
   for (std::size_t l = 0; l < lane_count; ++l) {
-    route_outbox(lanes[l].sends);
-    schedule_wakes(lanes[l].wakes);
+    route_outbox(lanes_[l].sends);
+    schedule_wakes(lanes_[l].wakes);
   }
   flush_reordered();
   if (telem != nullptr) telem_flush_round(*telem, delivered);
@@ -300,17 +290,10 @@ void Network::telem_flush_round(telemetry::Session& session,
                 s.fault_duplicated - p.fault_duplicated);
   session.count(Probe::net_fault_reordered,
                 s.fault_reordered - p.fault_reordered);
-  const WordArena::Stats arena = arena_.stats();
-  const WordArena::Stats& ap = telem_prev_arena_;
-  session.count(Probe::net_arena_allocated, arena.allocated - ap.allocated);
-  session.count(Probe::net_arena_released, arena.released - ap.released);
-  session.count(Probe::net_arena_unpooled, arena.unpooled - ap.unpooled);
-  session.count(Probe::net_arena_recycled, arena.recycled - ap.recycled);
   session.sample(Probe::net_delivered_per_round, delivered);
   session.event(telemetry::EventName::net_round, telemetry::kSrcNet, 'C',
                 /*id=*/0, /*a=*/delivered, /*b=*/s.sent - p.sent);
   telem_prev_stats_ = s;
-  telem_prev_arena_ = arena;
 }
 
 std::size_t Network::run_until_quiescent(std::size_t max_rounds) {
@@ -321,18 +304,6 @@ std::size_t Network::run_until_quiescent(std::size_t max_rounds) {
     if (delivered == 0 && inbox_.empty() && wheel_pending_ == 0) break;
   }
   return rounds;
-}
-
-const char* Network::toggles_name() const noexcept {
-  return storage_toggles_name(recycle_buffers_, pool_payloads_);
-}
-
-const char* storage_toggles_name(bool recycle_buffers,
-                                 bool pool_payloads) noexcept {
-  if (recycle_buffers && pool_payloads) return "recycle+pool";
-  if (recycle_buffers) return "recycle";
-  if (pool_payloads) return "pool";
-  return "legacy";
 }
 
 }  // namespace tg::net

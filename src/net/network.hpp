@@ -22,6 +22,10 @@
 //   4. routes the lanes' sends in node order through the delivery
 //      policy and fault plane into the next inbox or the delay wheel,
 //      and files their wake requests.
+// Every per-round buffer (inbox, deliveries, lane sends and wakes) is
+// owned by the network and reused across rounds, so a warmed-up round
+// loop allocates no containers; payloads allocate only when they spill
+// past Words' inline capacity (see words.hpp).
 //
 // Determinism is load-bearing: tests assert byte-identical traces
 // between 1-thread and N-thread executions, which is what makes the
@@ -35,7 +39,6 @@
 #include <vector>
 
 #include "net/node.hpp"
-#include "net/words.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -144,42 +147,6 @@ class Network {
     return trace_hash_;
   }
 
-  /// Per-round buffer recycling (on by default): the flat inbox,
-  /// delivery and lane send buffers are owned by the network and
-  /// reused across rounds, so a warmed-up round loop performs no
-  /// per-round container allocation.  Off = fresh flat buffers every
-  /// round — kept selectable so tests can assert the two paths deliver
-  /// identical messages and benches can measure the difference.
-  /// Delivered messages, their order, and the trace hash are
-  /// byte-identical in both modes.
-  void set_buffer_recycling(bool on) noexcept { recycle_buffers_ = on; }
-  [[nodiscard]] bool buffer_recycling() const noexcept {
-    return recycle_buffers_;
-  }
-
-  /// Payload pooling (on by default): handler Contexts attach the
-  /// network's WordArena to every outgoing payload, so payloads longer
-  /// than Words::kInlineCapacity spill into pooled blocks that return
-  /// to the arena when the delivered message is consumed — the
-  /// payload-level counterpart of buffer recycling.  Off = spill via
-  /// plain heap new[]/delete[] (the legacy representation) — kept
-  /// selectable so tests can assert byte-identical delivered traffic
-  /// between the two paths and benches can measure the difference.
-  void set_payload_pooling(bool on) noexcept { pool_payloads_ = on; }
-  [[nodiscard]] bool payload_pooling() const noexcept {
-    return pool_payloads_;
-  }
-
-  /// The payload spill pool (hit/miss/retention counters for tests and
-  /// the round-loop bench's steady-state-allocation assertion).
-  [[nodiscard]] const WordArena& payload_arena() const noexcept {
-    return arena_;
-  }
-
-  /// Names this network's storage-toggle combination (see
-  /// storage_toggles_name below).
-  [[nodiscard]] const char* toggles_name() const noexcept;
-
   /// Attach (or detach, with nullptr) the fault plane.  The injector
   /// is not owned and must outlive the network.  With no injector the
   /// routing path is byte-identical to a build without the seam; the
@@ -217,7 +184,7 @@ class Network {
   /// destinations merged with this round's wakes, in NodeId order.
   void gather(std::vector<Message>& deliveries);
   /// Run the handlers of active_[lane.begin, lane.end).
-  void run_lane(Lane& lane, const Message* deliveries, WordArena* arena);
+  void run_lane(Lane& lane, const Message* deliveries);
   /// Route every message out of `outbox` (delivery policy, inbox push
   /// or delay scheduling), then clear it with capacity kept.
   void route_outbox(std::vector<Message>& outbox);
@@ -230,7 +197,7 @@ class Network {
   void delay(Message&& m, std::size_t delay);
   void absorb_trace(const Message& m) noexcept;
   /// End-of-round telemetry flush (only called with a session active):
-  /// publishes this round's stats/arena deltas as counters, samples
+  /// publishes this round's stats deltas as counters, samples
   /// the delivery histogram, and emits the per-round counter event.
   /// Runs at a sequential point, after the outbox merge.
   void telem_flush_round(telemetry::Session& session, std::size_t delivered);
@@ -238,20 +205,12 @@ class Network {
   DeliveryPolicy policy_;
   Rng policy_rng_;
   std::size_t threads_;  ///< executor width cap on the global pool
-  bool recycle_buffers_ = true;
-  bool pool_payloads_ = true;
-  /// Spill-block pool for message payloads.  Declared before every
-  /// container that can hold Messages (nodes, inbox, deliveries,
-  /// lanes, delay wheel): members destroy in reverse order, so all
-  /// arena-backed payloads release their blocks before the arena dies.
-  WordArena arena_;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// Next round's messages in push order: routed sends, reorder-held
   /// releases, inject()s, then this round's delay-wheel releases.
   std::vector<Message> inbox_;
-  /// The last round's deliveries grouped by destination.  Recycled
-  /// mode keeps them until the next round starts, so their spill
-  /// blocks are back in the arena before that round's sends.
+  /// The last round's deliveries grouped by destination, kept until
+  /// the next round starts (the buffer is reused across rounds).
   std::vector<Message> deliveries_;
   std::vector<Lane> lanes_;
   /// This round's active nodes, in NodeId order.
@@ -280,16 +239,9 @@ class Network {
   /// Snapshots of the counters already published to telemetry, so each
   /// round reports deltas (start()'s traffic folds into round 1).
   NetworkStats telem_prev_stats_;
-  WordArena::Stats telem_prev_arena_;
   std::uint64_t round_ = 0;
   std::uint64_t trace_hash_ = 1469598103934665603ULL;  // FNV offset
   bool started_ = false;
 };
-
-/// Names a (buffer-recycling, payload-pooling) combination —
-/// "recycle+pool", "recycle", "pool" or "legacy" — for seam-sweep
-/// failure reports (tg::proptest) and bench metadata.
-[[nodiscard]] const char* storage_toggles_name(bool recycle_buffers,
-                                               bool pool_payloads) noexcept;
 
 }  // namespace tg::net

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -31,32 +30,16 @@ struct Wake {
 /// Handler-side view of the network: appends sends and wake requests
 /// to runtime-owned buffers so the runtime can apply delivery policy
 /// and parallelize without handing nodes a mutable network reference.
-/// Also the handler's door into payload pooling: every outgoing payload
-/// is attached to the network's WordArena (inline payloads by pointer,
-/// so the common case costs nothing; see Words::adopt_arena).
 class Context {
  public:
   Context(NodeId self, std::uint64_t round, std::vector<Message>& sends,
-          std::vector<Wake>& wakes, WordArena* arena = nullptr) noexcept
-      : self_(self), round_(round), arena_(arena), sends_(&sends),
-        wakes_(&wakes) {}
+          std::vector<Wake>& wakes) noexcept
+      : self_(self), round_(round), sends_(&sends), wakes_(&wakes) {}
 
   [[nodiscard]] NodeId self() const noexcept { return self_; }
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
 
-  /// An empty payload wired to the network's spill pool — the way to
-  /// BUILD a payload longer than Words::kInlineCapacity without a
-  /// heap allocation per message (push_back draws from the arena).
-  [[nodiscard]] Words payload() const noexcept { return Words(arena_); }
-  [[nodiscard]] Words payload(
-      std::initializer_list<std::uint64_t> init) const {
-    Words words(arena_);
-    words.assign(init.begin(), init.size());
-    return words;
-  }
-
   void send(NodeId dst, std::uint64_t tag, Words payload = {}) {
-    payload.adopt_arena(arena_);
     sends_->push_back(Message{self_, dst, tag, std::move(payload), round_});
   }
 
@@ -74,7 +57,6 @@ class Context {
  private:
   NodeId self_;
   std::uint64_t round_;
-  WordArena* arena_ = nullptr;
   std::vector<Message>* sends_;
   std::vector<Wake>* wakes_;
 };

@@ -58,9 +58,8 @@ void RelayMember::forward(Context& ctx) {
       static_cast<NodeId>((group_ + 1) * group_size_);
   for (std::size_t j = 0; j < group_size_; ++j) {
     // Word 0 carries the relayed value; the remaining words are the
-    // synthetic certificate.  ctx.payload() draws spill storage from
-    // the network's arena, so wide copies allocate nothing once warm.
-    Words copy = ctx.payload();
+    // synthetic certificate.
+    Words copy;
     copy.reserve(payload_words_);
     copy.push_back(*decoded_);
     std::uint64_t cert = *decoded_;

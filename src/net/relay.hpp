@@ -33,7 +33,7 @@ class RelayMember final : public Node {
   /// `payload_words`: words per forwarded copy — word 0 is the relayed
   /// value, the rest a synthetic certificate (the signature + proof
   /// chain a deployment attaches); above Words::kInlineCapacity the
-  /// copies exercise the network's pooled spill storage.
+  /// copies spill to the heap.
   RelayMember(std::size_t group, std::size_t group_size,
               std::size_t chain_length, std::size_t patience = 0,
               std::optional<std::uint64_t> initial = std::nullopt,

@@ -1,166 +1,12 @@
 #include "net/words.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 
 namespace tg::net {
 
-// ---------------------------------------------------------------------------
-// WordArena
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Home-shard assignment for allocation: new threads take shards
-/// round-robin, so a pool of workers spreads evenly.
-std::atomic<unsigned> g_next_home{0};
-thread_local int t_home_slot = -1;
-/// Per-thread rotation for release scattering.
-thread_local unsigned t_release_rr = 0;
-}  // namespace
-
-std::size_t WordArena::home_slot() noexcept {
-  if (t_home_slot < 0) {
-    t_home_slot = static_cast<int>(
-        g_next_home.fetch_add(1, std::memory_order_relaxed) % kShardCount);
-  }
-  return static_cast<std::size_t>(t_home_slot);
-}
-
-std::size_t WordArena::release_slot() noexcept {
-  return t_release_rr++ % kShardCount;
-}
-
-WordArena::~WordArena() {
-  for (auto& shard : shards_) {
-    for (auto& bucket : shard.free) {
-      for (std::uint64_t* block : bucket) delete[] block;
-    }
-  }
-}
-
-int WordArena::class_index(std::size_t capacity) noexcept {
-  if (capacity < kMinClassWords || !std::has_single_bit(capacity)) return -1;
-  const int index =
-      std::countr_zero(capacity) - std::countr_zero(kMinClassWords);
-  return index < static_cast<int>(kClassCount) ? index : -1;
-}
-
-std::uint64_t* WordArena::allocate(std::size_t& capacity) {
-  const std::size_t rounded =
-      std::bit_ceil(std::max(capacity, kMinClassWords));
-  const int index = class_index(rounded);
-  const std::size_t home = home_slot();
-  if (index < 0) {
-    // Oversize: pooling classes top out at kMinClassWords << kClassCount
-    // words; beyond that a payload is bulk data, not protocol chatter.
-    const std::scoped_lock lock(shards_[home].mutex);
-    ++shards_[home].stats.allocated;
-    ++shards_[home].stats.unpooled;
-    return new std::uint64_t[capacity];
-  }
-  capacity = rounded;
-  {
-    Shard& shard = shards_[home];
-    const std::scoped_lock lock(shard.mutex);
-    ++shard.stats.allocated;
-    auto& bucket = shard.free[index];
-    if (!bucket.empty()) {
-      ++shard.stats.recycled;
-      std::uint64_t* block = bucket.back();
-      bucket.pop_back();
-      return block;
-    }
-  }
-  // Home miss: steal from sibling shards before new[] — keeps the
-  // steady-state no-allocation guarantee when releases landed
-  // elsewhere.
-  for (std::size_t k = 1; k < kShardCount; ++k) {
-    Shard& shard = shards_[(home + k) % kShardCount];
-    const std::scoped_lock lock(shard.mutex);
-    auto& bucket = shard.free[index];
-    if (!bucket.empty()) {
-      ++shard.stats.recycled;
-      std::uint64_t* block = bucket.back();
-      bucket.pop_back();
-      return block;
-    }
-  }
-  return new std::uint64_t[rounded];
-}
-
-void WordArena::release(std::uint64_t* block, std::size_t capacity) noexcept {
-  const int index = class_index(capacity);
-  if (index < 0) {
-    delete[] block;
-    return;
-  }
-  Shard& shard = shards_[release_slot()];
-  const std::scoped_lock lock(shard.mutex);
-  ++shard.stats.released;
-  shard.free[index].push_back(block);
-}
-
-WordArena::Stats WordArena::stats() const {
-  Stats total;
-  for (std::size_t s = 0; s < kShardCount; ++s) {
-    const Stats part = shard_stats(s);
-    total.allocated += part.allocated;
-    total.recycled += part.recycled;
-    total.released += part.released;
-    total.unpooled += part.unpooled;
-  }
-  return total;
-}
-
-WordArena::Stats WordArena::shard_stats(std::size_t shard) const {
-  const std::scoped_lock lock(shards_[shard].mutex);
-  return shards_[shard].stats;
-}
-
-std::size_t WordArena::free_blocks() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < kShardCount; ++s) {
-    total += shard_free_blocks(s);
-  }
-  return total;
-}
-
-std::size_t WordArena::shard_free_blocks(std::size_t shard) const {
-  const std::scoped_lock lock(shards_[shard].mutex);
-  std::size_t total = 0;
-  for (const auto& bucket : shards_[shard].free) total += bucket.size();
-  return total;
-}
-
-std::uint64_t WordArena::heap_allocations() const {
-  const Stats total = stats();
-  return total.allocated - total.recycled;
-}
-
-// ---------------------------------------------------------------------------
-// Words
-// ---------------------------------------------------------------------------
-
-void Words::release_storage() noexcept {
-  if (!spilled()) return;
-  if (arena_ != nullptr) {
-    arena_->release(data_, capacity_);
-  } else {
-    delete[] data_;
-  }
-  data_ = inline_;
-  capacity_ = kInlineCapacity;
-}
-
 void Words::grow_exact(std::size_t min_capacity) {
-  std::size_t want = std::max(min_capacity, 2 * std::size_t{capacity_});
-  std::uint64_t* block;
-  if (arena_ != nullptr) {
-    block = arena_->allocate(want);  // want rounds up to the class size
-  } else {
-    block = new std::uint64_t[want];
-  }
+  const std::size_t want = std::max(min_capacity, 2 * std::size_t{capacity_});
+  auto* block = new std::uint64_t[want];
   std::memcpy(block, data_, size_ * sizeof(std::uint64_t));
   release_storage();
   data_ = block;

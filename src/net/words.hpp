@@ -1,101 +1,18 @@
-// Words: the pooled payload storage of the message runtime.
+// Words: the payload storage of the message runtime.
 //
 // Every protocol in this repository exchanges small u64 sequences —
 // IDs, votes, hash tags, shares — so `Words` keeps the first
-// kInlineCapacity words inline (the common case allocates nothing) and
-// spills longer payloads into blocks drawn from a `WordArena`.  The
-// arena is owned by the `net::Network` that carries the messages:
-// spill blocks return to its free lists when delivered messages are
-// discarded at the start of the next round, so a warmed-up round loop
-// performs no payload allocation at all — the payload-level
-// counterpart of the message buffer recycling the runtime already
-// does.
-//
-// Ownership rule: a spilled `Words` releases its block to the arena it
-// was allocated from (the arena pointer travels with the object on
-// move), so mixing arena-backed and heap-backed payloads in one
-// container is safe.  Arena-backed payloads must not outlive their
-// Network.  A `Words` with no arena uses plain heap new[]/delete[] —
-// the legacy representation kept selectable via
-// `Network::set_payload_pooling(false)` so tests can assert the two
-// paths deliver byte-identical traffic.
+// kInlineCapacity words inline: the common case allocates nothing.  A
+// longer payload spills into one heap block (new[]), released with
+// delete[] when the payload is destroyed or grows again.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <mutex>
-#include <vector>
 
 namespace tg::net {
-
-/// Thread-safe free-list pool of spill blocks, bucketed by
-/// power-of-two capacity class and SHARDED to keep wide executors off
-/// a single mutex: each thread is pinned to a home shard (round-robin
-/// at first contact) whose free lists serve its allocations, and
-/// releases are scattered round-robin across shards so the drain
-/// thread — which destroys most delivered payloads — feeds every
-/// worker's shard instead of pooling all blocks in its own.  A shard
-/// miss steals from siblings before touching the heap, so the
-/// steady-state no-allocation guarantee of the single-pool arena is
-/// preserved; only payloads longer than Words::kInlineCapacity ever
-/// reach the arena at all.
-class WordArena {
- public:
-  struct Stats {
-    std::uint64_t allocated = 0;  ///< spill blocks handed out
-    std::uint64_t recycled = 0;   ///< of those, served from a free list
-    std::uint64_t released = 0;   ///< blocks returned to the free lists
-    std::uint64_t unpooled = 0;   ///< oversize blocks (plain heap)
-  };
-
-  /// Fixed shard fan-out; covers the executor widths the round-loop
-  /// bench sweeps without making free_blocks() scans expensive.
-  static constexpr std::size_t kShardCount = 8;
-
-  WordArena() = default;
-  WordArena(const WordArena&) = delete;
-  WordArena& operator=(const WordArena&) = delete;
-  ~WordArena();
-
-  /// Return a block of at least `capacity` words; `capacity` is
-  /// updated to the block's actual (class-rounded) capacity, which the
-  /// caller must pass back to release().
-  [[nodiscard]] std::uint64_t* allocate(std::size_t& capacity);
-  void release(std::uint64_t* block, std::size_t capacity) noexcept;
-
-  /// Aggregate counters across all shards.  `allocated`/`unpooled`
-  /// are charged to the allocating thread's home shard and
-  /// `recycled`/`released` to the shard that served/received the
-  /// block, so per-shard rows may differ while aggregates stay exact.
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] Stats shard_stats(std::size_t shard) const;
-  /// Blocks currently parked in the free lists (all shards).
-  [[nodiscard]] std::size_t free_blocks() const;
-  [[nodiscard]] std::size_t shard_free_blocks(std::size_t shard) const;
-  /// Heap allocations that could not be served from a free list —
-  /// flat in steady state, which is what the round-loop bench asserts.
-  [[nodiscard]] std::uint64_t heap_allocations() const;
-
- private:
-  static constexpr std::size_t kMinClassWords = 8;  // > Words inline
-  static constexpr std::size_t kClassCount = 10;    // 8 .. 4096 words
-  /// Index of the free list serving `capacity`, or -1 when the block
-  /// is oversize and bypasses pooling.
-  static int class_index(std::size_t capacity) noexcept;
-  /// This thread's pinned allocation shard (round-robin on first use).
-  static std::size_t home_slot() noexcept;
-  /// Rotating release target (per thread, uniform across shards).
-  static std::size_t release_slot() noexcept;
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<std::uint64_t*> free[kClassCount];
-    Stats stats;
-  };
-  Shard shards_[kShardCount];
-};
 
 /// Small-buffer-optimized u64 sequence: the payload type of
 /// `net::Message`.  Supports the subset of the std::vector interface
@@ -113,19 +30,14 @@ class Words {
   static constexpr std::size_t kInlineCapacity = 6;
 
   Words() noexcept = default;
-  /// Empty payload whose future spill storage draws from `arena`
-  /// (nullptr = plain heap).
-  explicit Words(WordArena* arena) noexcept : arena_(arena) {}
   Words(std::initializer_list<std::uint64_t> init) {
     assign(init.begin(), init.size());
   }
 
-  Words(const Words& other) : arena_(other.arena_) {
-    assign(other.data_, other.size_);
-  }
+  Words(const Words& other) { assign(other.data_, other.size_); }
 
   Words(Words&& other) noexcept
-      : size_(other.size_), capacity_(other.capacity_), arena_(other.arena_) {
+      : size_(other.size_), capacity_(other.capacity_) {
     if (other.spilled()) {
       data_ = other.data_;
     } else {
@@ -136,10 +48,7 @@ class Words {
 
   Words& operator=(const Words& other) {
     if (this == &other) return *this;
-    clear();
-    if (other.size_ > capacity_) grow_exact(other.size_);
-    size_ = other.size_;
-    std::memcpy(data_, other.data_, size_ * sizeof(std::uint64_t));
+    assign(other.data_, other.size_);
     return *this;
   }
 
@@ -148,7 +57,6 @@ class Words {
     release_storage();
     size_ = other.size_;
     capacity_ = other.capacity_;
-    arena_ = other.arena_;
     if (other.spilled()) {
       data_ = other.data_;
     } else {
@@ -164,16 +72,13 @@ class Words {
     return *this;
   }
 
-  ~Words() {
-    if (spilled()) release_storage();  // inline payloads: no call
-  }
+  ~Words() { release_storage(); }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// True when the payload outgrew the inline buffer.
   [[nodiscard]] bool spilled() const noexcept { return data_ != inline_; }
-  [[nodiscard]] WordArena* arena() const noexcept { return arena_; }
 
   [[nodiscard]] iterator begin() noexcept { return data_; }
   [[nodiscard]] iterator end() noexcept { return data_ + size_; }
@@ -212,14 +117,6 @@ class Words {
     size_ = static_cast<std::uint32_t>(count);
   }
 
-  /// Attach a pooling arena to an inline payload so later growth draws
-  /// from it.  A payload that already spilled keeps its current
-  /// storage owner — releasing a block to an arena it did not come
-  /// from would corrupt the pool.
-  void adopt_arena(WordArena* arena) noexcept {
-    if (!spilled()) arena_ = arena;
-  }
-
   friend bool operator==(const Words& a, const Words& b) noexcept {
     return a.size_ == b.size_ &&
            std::memcmp(a.data_, b.data_,
@@ -233,15 +130,22 @@ class Words {
     capacity_ = kInlineCapacity;
   }
 
-  void release_storage() noexcept;
-  /// Move to a block of at least `min_capacity` words.
+  /// Free the spill block (if any) and fall back to the inline buffer.
+  void release_storage() noexcept {
+    if (!spilled()) return;
+    delete[] data_;
+    data_ = inline_;
+    capacity_ = kInlineCapacity;
+  }
+
+  /// Move to a heap block of at least `min_capacity` words (at least
+  /// double the current capacity, so push_back is amortized O(1)).
   void grow_exact(std::size_t min_capacity);
 
   std::uint64_t inline_[kInlineCapacity];
   std::uint64_t* data_ = inline_;
   std::uint32_t size_ = 0;
   std::uint32_t capacity_ = kInlineCapacity;
-  WordArena* arena_ = nullptr;
 };
 
 }  // namespace tg::net

@@ -34,37 +34,6 @@ void ChordOverlay::fill_index_row(const RoutingIndex& ix, std::size_t i,
       static_cast<std::uint32_t>(ix.successor_index(x.advanced(1)));
 }
 
-void ChordOverlay::route_legacy(Route& r, std::size_t start,
-                                RingPoint key) const {
-  const std::size_t target = table_->successor_index(key);
-  std::size_t cur = start;
-  r.path.push_back(cur);
-  const std::size_t cap = hop_cap();
-  while (cur != target) {
-    if (r.path.size() > cap) return;  // ok stays false
-    const RingPoint cur_pt = table_->at(cur);
-    const std::uint64_t dist_to_key = cur_pt.cw_distance_to(key);
-    // Closest preceding finger: neighbor with the largest clockwise
-    // advance that does not pass the key.
-    std::size_t best = table_->successor_index(cur_pt.advanced(1));
-    std::uint64_t best_advance = 0;
-    for (int i = 1; i <= finger_bits_; ++i) {
-      const std::size_t nb =
-          table_->successor_index(cur_pt.advanced(1ULL << (64 - i)));
-      const std::uint64_t advance = cur_pt.cw_distance_to(table_->at(nb));
-      if (advance > best_advance && advance <= dist_to_key) {
-        best_advance = advance;
-        best = nb;
-      }
-    }
-    // If no finger lands inside (cur, key], the immediate successor is
-    // responsible (it is the first ID past the key).
-    cur = best;
-    r.path.push_back(cur);
-  }
-  r.ok = true;
-}
-
 void ChordOverlay::route_indexed(const RoutingIndex& ix, Route& r,
                                  std::size_t start, RingPoint key) const {
   const std::size_t target = ix.successor_index(key);
@@ -75,9 +44,10 @@ void ChordOverlay::route_indexed(const RoutingIndex& ix, Route& r,
     if (r.path.size() > cap) return;
     const RingPoint cur_pt = ix.point(cur);
     const std::uint64_t dist_to_key = cur_pt.cw_distance_to(key);
-    // The same greedy scan, but every candidate is a row load: the row
-    // holds the pre-resolved results of the legacy path's binary
-    // searches, so `best` comes out identical hop for hop.
+    // Closest preceding finger: the row entry with the largest
+    // clockwise advance that does not pass the key.  If none lands in
+    // (cur, key], the immediate successor (the row's last entry) is
+    // responsible: it is the first ID past the key.
     const std::uint32_t* row = ix.row(cur);
     std::size_t best = row[finger_bits_];
     std::uint64_t best_advance = 0;

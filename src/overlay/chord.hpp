@@ -22,10 +22,8 @@ class ChordOverlay final : public InputGraph {
       RingPoint x) const override;
 
  protected:
-  /// Greedy closest-preceding-finger routing; O(log N) hops w.h.p.
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
-  /// Same greedy loop over the node's pre-resolved finger row.
+  /// Greedy closest-preceding-finger routing over the node's
+  /// pre-resolved finger row; O(log N) hops w.h.p.
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;
 

@@ -39,35 +39,6 @@ void ChordPPOverlay::fill_index_row(const RoutingIndex& ix, std::size_t i,
       static_cast<std::uint32_t>(ix.successor_index(x.advanced(1)));
 }
 
-void ChordPPOverlay::route_legacy(Route& r, std::size_t start,
-                                  RingPoint key) const {
-  const std::size_t target = table_->successor_index(key);
-  std::size_t cur = start;
-  r.path.push_back(cur);
-  const std::size_t cap = hop_cap();
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = table_->at(cur);
-    const std::uint64_t dist_to_key = cur_pt.cw_distance_to(key);
-    // Greedy closest-preceding finger, exactly as Chord, but over the
-    // perturbed finger set of the CURRENT node.
-    std::size_t best = table_->successor_index(cur_pt.advanced(1));
-    std::uint64_t best_advance = 0;
-    for (int i = 1; i <= finger_bits_; ++i) {
-      const std::size_t nb = table_->successor_index(
-          cur_pt.advanced(finger_offset(cur_pt, i)));
-      const std::uint64_t advance = cur_pt.cw_distance_to(table_->at(nb));
-      if (advance > best_advance && advance <= dist_to_key) {
-        best_advance = advance;
-        best = nb;
-      }
-    }
-    cur = best;
-    r.path.push_back(cur);
-  }
-  r.ok = true;
-}
-
 void ChordPPOverlay::route_indexed(const RoutingIndex& ix, Route& r,
                                    std::size_t start, RingPoint key) const {
   const std::size_t target = ix.successor_index(key);
@@ -78,8 +49,8 @@ void ChordPPOverlay::route_indexed(const RoutingIndex& ix, Route& r,
     if (r.path.size() > cap) return;
     const RingPoint cur_pt = ix.point(cur);
     const std::uint64_t dist_to_key = cur_pt.cw_distance_to(key);
-    // Row scan replaces both the mix64 offset derivation and the
-    // binary search per finger; values match the legacy lookups.
+    // Greedy closest-preceding finger, exactly as Chord, but over the
+    // CURRENT node's perturbed fingers, pre-resolved in its row.
     const std::uint32_t* row = ix.row(cur);
     std::size_t best = row[finger_bits_];
     std::uint64_t best_advance = 0;

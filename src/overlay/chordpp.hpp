@@ -33,8 +33,6 @@ class ChordPPOverlay final : public InputGraph {
   [[nodiscard]] std::uint64_t finger_offset(RingPoint x, int i) const noexcept;
 
  protected:
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;
 

@@ -3,54 +3,6 @@
 #include "overlay/routing_index.hpp"
 
 namespace tg::overlay {
-namespace {
-
-/// The route loop shared by both dispatch paths.  `succ(point)` and
-/// `at(index)` abstract the successor oracle: the legacy path binds
-/// them to the table's binary search, the indexed path to the grid.
-/// Identical inputs through identical control flow — the two paths
-/// cannot diverge by even one hop.
-template <class Succ, class At>
-void debruijn_route(Route& r, std::size_t start, RingPoint key,
-                    int route_bits, std::size_t m, std::size_t cap,
-                    Succ&& succ, At&& at) {
-  const std::size_t target = succ(key);
-  std::size_t cur = start;
-  r.path.push_back(cur);
-
-  // Imaginary-point phase: after t prepends, the imaginary point agrees
-  // with the key on its top t bits.  Bits must be injected in reverse
-  // (bit t of the key first, MSB last) so they stack correctly.
-  RingPoint imaginary = at(cur);
-  for (int j = route_bits; j >= 1; --j) {
-    if (cur == target) break;
-    const bool bit = (key.raw() >> (64 - j)) & 1ULL;
-    imaginary = imaginary.halved(bit);
-    const std::size_t next = succ(imaginary);
-    if (next != cur) {
-      cur = next;
-      r.path.push_back(cur);
-    }
-  }
-  // Correction phase: imaginary is now within 2^-t < 1/(2m) of the key
-  // (possibly on either side), so a short walk along ring links —
-  // successor or predecessor, whichever arc is shorter — reaches the
-  // responsible node.
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = at(cur);
-    const RingPoint tgt_pt = at(target);
-    if (cur_pt.cw_distance_to(tgt_pt) <= tgt_pt.cw_distance_to(cur_pt)) {
-      cur = (cur + 1) % m;
-    } else {
-      cur = (cur + m - 1) % m;
-    }
-    r.path.push_back(cur);
-  }
-  r.ok = true;
-}
-
-}  // namespace
 
 DeBruijnOverlay::DeBruijnOverlay(const RingTable& table)
     : InputGraph(table), route_bits_(bits_for_size(table.size()) + 2) {}
@@ -65,20 +17,31 @@ std::vector<RingPoint> DeBruijnOverlay::link_targets(RingPoint x) const {
   };
 }
 
-void DeBruijnOverlay::route_legacy(Route& r, std::size_t start,
-                                   RingPoint key) const {
-  debruijn_route(
-      r, start, key, route_bits_, table_->size(), hop_cap(),
-      [this](RingPoint p) { return table_->successor_index(p); },
-      [this](std::size_t i) { return table_->at(i); });
-}
-
 void DeBruijnOverlay::route_indexed(const RoutingIndex& ix, Route& r,
                                     std::size_t start, RingPoint key) const {
-  debruijn_route(
-      r, start, key, route_bits_, table_->size(), hop_cap(),
-      [&ix](RingPoint p) { return ix.successor_index(p); },
-      [&ix](std::size_t i) { return ix.point(i); });
+  const std::size_t target = ix.successor_index(key);
+  std::size_t cur = start;
+  r.path.push_back(cur);
+
+  // Imaginary-point phase: after t prepends, the imaginary point agrees
+  // with the key on its top t bits.  Bits must be injected in reverse
+  // (bit t of the key first, MSB last) so they stack correctly.
+  RingPoint imaginary = ix.point(cur);
+  for (int j = route_bits_; j >= 1; --j) {
+    if (cur == target) break;
+    const bool bit = (key.raw() >> (64 - j)) & 1ULL;
+    imaginary = imaginary.halved(bit);
+    const std::size_t next = ix.successor_index(imaginary);
+    if (next != cur) {
+      cur = next;
+      r.path.push_back(cur);
+    }
+  }
+  // Correction phase: imaginary is now within 2^-t < 1/(2m) of the key
+  // (possibly on either side), so a short walk along ring links —
+  // successor or predecessor, whichever arc is shorter — reaches the
+  // responsible node.
+  ring_walk(r, cur, target);
 }
 
 }  // namespace tg::overlay

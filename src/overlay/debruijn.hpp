@@ -27,12 +27,8 @@ class DeBruijnOverlay final : public InputGraph {
       RingPoint x) const override;
 
  protected:
-  // Both paths run the same imaginary-point loop, parameterized only
-  // by the successor resolver (table binary search vs index grid), so
-  // hop identity holds by construction.  Hop targets depend on route
-  // state — no per-node row to pre-resolve (width 0).
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
+  // Hop targets depend on route state — no per-node row to
+  // pre-resolve (width 0); every hop is one successor-grid lookup.
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;
 

@@ -3,49 +3,6 @@
 #include "overlay/routing_index.hpp"
 
 namespace tg::overlay {
-namespace {
-
-/// Shared route loop; `succ`/`at` bind to the table (legacy) or the
-/// grid (indexed) — see debruijn.cpp for the pattern's rationale.
-template <class Succ, class At>
-void distance_halving_route(Route& r, std::size_t start, RingPoint key,
-                            int route_bits, std::size_t m, std::size_t cap,
-                            Succ&& succ, At&& at) {
-  const std::size_t target = succ(key);
-  std::size_t cur = start;
-  r.path.push_back(cur);
-
-  // "To" phase: halving steps.  Injecting the key's top t bits in
-  // reverse order moves any starting point into the dyadic cell of
-  // width 2^-t around the key (distance halves per step — the
-  // construction's namesake).
-  RingPoint walker = at(cur);
-  for (int j = route_bits; j >= 1; --j) {
-    if (cur == target) break;
-    const bool bit = (key.raw() >> (64 - j)) & 1ULL;
-    walker = walker.halved(bit);
-    const std::size_t next = succ(walker);
-    if (next != cur) {
-      cur = next;
-      r.path.push_back(cur);
-    }
-  }
-  // "Fro" phase: segment-local correction over ring edges.
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = at(cur);
-    const RingPoint tgt_pt = at(target);
-    if (cur_pt.cw_distance_to(tgt_pt) <= tgt_pt.cw_distance_to(cur_pt)) {
-      cur = (cur + 1) % m;
-    } else {
-      cur = (cur + m - 1) % m;
-    }
-    r.path.push_back(cur);
-  }
-  r.ok = true;
-}
-
-}  // namespace
 
 DistanceHalvingOverlay::DistanceHalvingOverlay(const RingTable& table)
     : InputGraph(table), route_bits_(bits_for_size(table.size()) + 2) {}
@@ -76,21 +33,30 @@ std::vector<RingPoint> DistanceHalvingOverlay::link_targets(
   return targets;
 }
 
-void DistanceHalvingOverlay::route_legacy(Route& r, std::size_t start,
-                                          RingPoint key) const {
-  distance_halving_route(
-      r, start, key, route_bits_, table_->size(), hop_cap(),
-      [this](RingPoint p) { return table_->successor_index(p); },
-      [this](std::size_t i) { return table_->at(i); });
-}
-
 void DistanceHalvingOverlay::route_indexed(const RoutingIndex& ix, Route& r,
                                            std::size_t start,
                                            RingPoint key) const {
-  distance_halving_route(
-      r, start, key, route_bits_, table_->size(), hop_cap(),
-      [&ix](RingPoint p) { return ix.successor_index(p); },
-      [&ix](std::size_t i) { return ix.point(i); });
+  const std::size_t target = ix.successor_index(key);
+  std::size_t cur = start;
+  r.path.push_back(cur);
+
+  // "To" phase: halving steps.  Injecting the key's top t bits in
+  // reverse order moves any starting point into the dyadic cell of
+  // width 2^-t around the key (distance halves per step — the
+  // construction's namesake).
+  RingPoint walker = ix.point(cur);
+  for (int j = route_bits_; j >= 1; --j) {
+    if (cur == target) break;
+    const bool bit = (key.raw() >> (64 - j)) & 1ULL;
+    walker = walker.halved(bit);
+    const std::size_t next = ix.successor_index(walker);
+    if (next != cur) {
+      cur = next;
+      r.path.push_back(cur);
+    }
+  }
+  // "Fro" phase: segment-local correction over ring edges.
+  ring_walk(r, cur, target);
 }
 
 }  // namespace tg::overlay

@@ -33,10 +33,8 @@ class DistanceHalvingOverlay final : public InputGraph {
       RingPoint x) const override;
 
  protected:
-  // Walker-halving hop targets depend on route state — both paths run
-  // one shared loop over a successor resolver (width-0 index).
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
+  // Walker-halving hop targets depend on route state — no per-node
+  // row to pre-resolve (width 0); every hop is one grid lookup.
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;
 

@@ -55,28 +55,17 @@ inline void record_route(telemetry::Session& session, const Route& r) {
 void InputGraph::route_into(Route& out, std::size_t start,
                             RingPoint key) const {
   out.reset();
-  if (routing_index_enabled()) {
-    route_indexed(index(), out, start, key);
-  } else {
-    route_legacy(out, start, key);
-  }
+  route_indexed(index(), out, start, key);
   if (auto* session = telemetry::active()) record_route(*session, out);
 }
 
 void InputGraph::route_many(const RouteQuery* queries, std::size_t count,
                             Route* out) const {
   if (count == 0) return;
-  if (routing_index_enabled()) {
-    const RoutingIndex& ix = index();  // resolved once for the batch
-    for (std::size_t q = 0; q < count; ++q) {
-      out[q].reset();
-      route_indexed(ix, out[q], queries[q].start, queries[q].key);
-    }
-  } else {
-    for (std::size_t q = 0; q < count; ++q) {
-      out[q].reset();
-      route_legacy(out[q], queries[q].start, queries[q].key);
-    }
+  const RoutingIndex& ix = index();  // resolved once for the batch
+  for (std::size_t q = 0; q < count; ++q) {
+    out[q].reset();
+    route_indexed(ix, out[q], queries[q].start, queries[q].key);
   }
   if (auto* session = telemetry::active()) {
     for (std::size_t q = 0; q < count; ++q) record_route(*session, out[q]);

@@ -14,13 +14,9 @@
 // (the lazily built RoutingIndex cache is a pure function of the
 // table, so the oracles stay logically stateless).
 //
-// Routing runs through one of two dispatch paths, selected by the
-// process-wide set_routing_index_enabled seam and asserted
-// hop-identical by tests:
-//   * INDEXED (default) — against the epoch-resident RoutingIndex
-//     (successor grid + pre-resolved finger rows; routing_index.hpp),
-//   * LEGACY — the seed implementation, re-deriving every hop with
-//     binary searches over the table.
+// Routing runs against the epoch-resident RoutingIndex (successor grid
+// + pre-resolved finger rows; routing_index.hpp).  Every overlay's
+// route is pinned by a golden hash over seeded queries in the tests.
 #pragma once
 
 #include <atomic>
@@ -180,18 +176,17 @@ class InputGraph {
 
   /// P1 search: route from the node at index `start` to the node
   /// responsible for `key` (its successor).  Deterministic given the
-  /// table — and identical under both dispatch paths; adversarial
-  /// behaviour is layered on top by the group graph, which truncates
-  /// routes at the first red group.
+  /// table; adversarial behaviour is layered on top by the group
+  /// graph, which truncates routes at the first red group.
   [[nodiscard]] Route route(std::size_t start, RingPoint key) const;
 
   /// route() into caller-owned scratch: the allocation-free form.  A
   /// warm `out` (capacity from earlier routes) is reused verbatim.
   void route_into(Route& out, std::size_t start, RingPoint key) const;
 
-  /// Batch evaluation: route every query, resolving the dispatch seam
-  /// and the index ONCE for the whole batch.  `out` entries are
-  /// reused as scratch (the vector is resized, never shrunk).
+  /// Batch evaluation: route every query, resolving the index ONCE
+  /// for the whole batch.  `out` entries are reused as scratch (the
+  /// vector is resized, never shrunk).
   void route_many(const RouteQuery* queries, std::size_t count,
                   Route* out) const;
   void route_many(const std::vector<RouteQuery>& queries,
@@ -216,16 +211,9 @@ class InputGraph {
   [[nodiscard]] std::size_t size() const noexcept { return table_->size(); }
 
  protected:
-  /// The seed routing path: re-derives every hop with binary searches
-  /// over the table.  Kept verbatim per overlay so the bench's
-  /// "before" side stays measurable forever.
-  virtual void route_legacy(Route& out, std::size_t start,
-                            RingPoint key) const = 0;
-
-  /// The index-backed path.  MUST be hop-identical to route_legacy
-  /// for every input — the grid reproduces successor_index exactly
-  /// and the rows hold pre-resolved copies of the same lookups, so
-  /// implementations mirror the legacy hop loop step for step.
+  /// The overlay's route loop, against the table's index: the grid
+  /// answers successor lookups exactly as RingTable::successor_index,
+  /// and the rows hold pre-resolved copies of per-node lookups.
   virtual void route_indexed(const RoutingIndex& ix, Route& out,
                              std::size_t start, RingPoint key) const = 0;
 
@@ -238,8 +226,9 @@ class InputGraph {
                               std::uint32_t* row) const;
 
   /// Shared correction tail: walk ring edges toward `target` along
-  /// the shorter arc (the constant-degree overlays all finish with
-  /// this).  Sets out.ok on arrival; leaves it false past the cap.
+  /// the shorter arc (clockwise on a tie), appending each step to
+  /// out.path.  Every overlay but Chord and Chord++ finishes with
+  /// this.  Sets out.ok on arrival; leaves it false past the cap.
   void ring_walk(Route& out, std::size_t cur, std::size_t target) const;
 
   /// Shared hop cap: any correct route is far shorter; exceeding it

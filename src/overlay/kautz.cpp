@@ -29,7 +29,7 @@ int third_symbol(int a, int b) noexcept {
 }
 
 /// digits_ = bits_for_size(m) + 2 <= 66, so fixed stack buffers cover
-/// every table size; the indexed route uses them to stay heap-free.
+/// every table size; the route uses them to stay heap-free.
 constexpr int kMaxKautzDigits = 66;
 
 /// encode() into a caller-owned buffer — same math, no vector.
@@ -126,62 +126,19 @@ std::vector<RingPoint> KautzOverlay::link_targets(RingPoint x) const {
   return targets;
 }
 
-void KautzOverlay::route_legacy(Route& r, std::size_t start,
-                                RingPoint key) const {
-  const std::size_t target = table_->successor_index(key);
-  std::size_t cur = start;
-  r.path.push_back(cur);
-
-  // Digit injection: append the key's Kautz string one symbol per hop.
-  // If the junction would repeat (first key symbol == current last
-  // symbol), one detour symbol restores the Kautz property.
-  KautzString virt = encode(table_->at(cur));
-  const KautzString tgt = encode(key);
-  std::vector<int> inject;
-  inject.reserve(tgt.size() + 1);
-  if (tgt.front() == virt.back()) {
-    // Detour must differ from the current last symbol (valid shift)
-    // and from tgt[0] (so the next append is valid); tgt[1] != tgt[0]
-    // already, so one detour never cascades.
-    inject.push_back(third_symbol(virt.back(), tgt.front()));
-  }
-  inject.insert(inject.end(), tgt.begin(), tgt.end());
-
-  for (const int a : inject) {
-    if (cur == target) break;
-    virt = kautz_shift(virt, a);
-    const std::size_t next = table_->successor_index(decode(virt));
-    if (next != cur) {
-      cur = next;
-      r.path.push_back(cur);
-    }
-  }
-
-  // Grid pitch is < 1/(4m), so the correction walk is O(1) expected.
-  const std::size_t cap = hop_cap();
-  const std::size_t m = table_->size();
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = table_->at(cur);
-    const RingPoint tgt_pt = table_->at(target);
-    if (cur_pt.cw_distance_to(tgt_pt) <= tgt_pt.cw_distance_to(cur_pt)) {
-      cur = (cur + 1) % m;
-    } else {
-      cur = (cur + m - 1) % m;
-    }
-    r.path.push_back(cur);
-  }
-  r.ok = true;
-}
-
 void KautzOverlay::route_indexed(const RoutingIndex& ix, Route& r,
                                  std::size_t start, RingPoint key) const {
   const std::size_t target = ix.successor_index(key);
   std::size_t cur = start;
   r.path.push_back(cur);
 
-  // The legacy walk verbatim — same symbols, same shifts, same decode
-  // — but over stack buffers, so no KautzString heap churn per hop.
+  // Digit injection: append the key's Kautz string one symbol per hop,
+  // over stack buffers (same math as encode/decode/kautz_shift), so no
+  // KautzString heap churn per hop.  If the junction would repeat
+  // (first key symbol == current last symbol), one detour symbol
+  // restores the Kautz property: it differs from the current last
+  // symbol (valid shift) and from tgt[0] (so the next append is
+  // valid); tgt[1] != tgt[0] already, so one detour never cascades.
   std::int8_t virt[kMaxKautzDigits];
   std::int8_t tgt[kMaxKautzDigits];
   encode_into(ix.point(cur), digits_, virt);
@@ -210,20 +167,8 @@ void KautzOverlay::route_indexed(const RoutingIndex& ix, Route& r,
     }
   }
 
-  const std::size_t cap = hop_cap();
-  const std::size_t m = ix.size();
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = ix.point(cur);
-    const RingPoint tgt_pt = ix.point(target);
-    if (cur_pt.cw_distance_to(tgt_pt) <= tgt_pt.cw_distance_to(cur_pt)) {
-      cur = (cur + 1) % m;
-    } else {
-      cur = (cur + m - 1) % m;
-    }
-    r.path.push_back(cur);
-  }
-  r.ok = true;
+  // Grid pitch is < 1/(4m), so the correction walk is O(1) expected.
+  ring_walk(r, cur, target);
 }
 
 }  // namespace tg::overlay

@@ -43,11 +43,7 @@ class KautzOverlay final : public InputGraph {
   [[nodiscard]] int digits() const noexcept { return digits_; }
 
  protected:
-  /// The seed digit-injection walk over heap-allocated KautzStrings —
-  /// kept verbatim as the measurable "before" side of the bench.
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
-  /// Same walk, same symbols, over fixed stack buffers (digits_ is
+  /// Digit-injection walk over fixed stack buffers (digits_ is
   /// bounded by 66) and the grid: zero heap allocations per route.
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;

@@ -1,26 +1,8 @@
 #include "overlay/routing_index.hpp"
 
-#include <atomic>
-
 #include "overlay/input_graph.hpp"
 
 namespace tg::overlay {
-
-namespace {
-std::atomic<bool> g_routing_index_enabled{true};
-}  // namespace
-
-bool routing_index_enabled() noexcept {
-  return g_routing_index_enabled.load(std::memory_order_relaxed);
-}
-
-void set_routing_index_enabled(bool on) noexcept {
-  g_routing_index_enabled.store(on, std::memory_order_relaxed);
-}
-
-const char* routing_path_name(bool indexed) noexcept {
-  return indexed ? "indexed" : "legacy";
-}
 
 RoutingIndex::RoutingIndex(const ids::RingTable& table, std::size_t row_width)
     : points_(table.points().data()),

@@ -12,8 +12,8 @@
 //     load plus an expected-O(1) forward scan (IDs are uniform, so a
 //     bucket holds < 1 point on average).  The scan reproduces
 //     std::lower_bound EXACTLY — same index for every input — which
-//     is what lets the index-backed routes stay hop-identical to the
-//     legacy binary-search routes.
+//     is what keeps every route identical to one that resolves each
+//     hop by binary search over the table.
 //
 //   * FINGER ROWS — for overlays whose per-hop candidate set is fixed
 //     per node (Chord's fingers, Chord++'s perturbed fingers,
@@ -28,12 +28,6 @@
 // Build is parallelized across nodes via ThreadPool::global();
 // InputGraph caches one index per table version and rebuilds lazily
 // when the table mutates (RingTable::version).
-//
-// The process-wide `set_routing_index_enabled` toggle keeps the
-// legacy on-the-fly path selectable, mirroring the payload-pooling
-// and group-layout seams: tests assert the two paths produce
-// hop-identical routes, and the routing bench measures them against
-// each other on the same table.
 #pragma once
 
 #include <cstddef>
@@ -43,15 +37,6 @@
 #include "idspace/ring_table.hpp"
 
 namespace tg::overlay {
-
-/// Process-wide dispatch seam: when enabled (the default), InputGraph
-/// routes through the epoch-resident index; when disabled, through
-/// the legacy per-hop binary-search path.  Routes are hop-identical
-/// either way (asserted by tests and benches).
-[[nodiscard]] bool routing_index_enabled() noexcept;
-void set_routing_index_enabled(bool on) noexcept;
-/// Introspection for seam-sweep reports: "indexed" / "legacy".
-[[nodiscard]] const char* routing_path_name(bool indexed) noexcept;
 
 class RoutingIndex {
  public:

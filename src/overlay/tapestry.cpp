@@ -16,45 +16,6 @@ RingPoint entry_point(RingPoint x, int j, unsigned d) noexcept {
   return RingPoint{kept | (static_cast<std::uint64_t>(d) << (shift - 4))};
 }
 
-/// Shared prefix-routing loop; `succ`/`at` bind to the table (legacy)
-/// or the grid (indexed) — see debruijn.cpp for the pattern.
-template <class Succ, class At>
-void tapestry_route(Route& r, std::size_t start, RingPoint key, int levels,
-                    std::size_t m, std::size_t cap, Succ&& succ, At&& at) {
-  const std::size_t target = succ(key);
-  std::size_t cur = start;
-  r.path.push_back(cur);
-
-  while (cur != target) {
-    const int shared = TapestryOverlay::shared_digits(at(cur), key);
-    if (shared >= levels) break;  // past the table's resolution: walk
-    // Hop to the first node clockwise of the key's level-(shared+1)
-    // prefix corner.  That node either shares one more digit with the
-    // key or IS suc(key) (empty sub-arc below the key).
-    const unsigned d =
-        static_cast<unsigned>((key.raw() >> (64 - 4 * (shared + 1))) & 0xF);
-    const std::size_t next = succ(entry_point(key, shared, d));
-    if (next == cur) break;  // unreachable by ring geometry; defensive
-    cur = next;
-    r.path.push_back(cur);
-    if (r.path.size() > cap) return;
-  }
-
-  // Tail walk for the (rare) beyond-resolution case.
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = at(cur);
-    const RingPoint tgt_pt = at(target);
-    if (cur_pt.cw_distance_to(tgt_pt) <= tgt_pt.cw_distance_to(cur_pt)) {
-      cur = (cur + 1) % m;
-    } else {
-      cur = (cur + m - 1) % m;
-    }
-    r.path.push_back(cur);
-  }
-  r.ok = true;
-}
-
 }  // namespace
 
 TapestryOverlay::TapestryOverlay(const RingTable& table)
@@ -83,20 +44,29 @@ std::vector<RingPoint> TapestryOverlay::link_targets(RingPoint x) const {
   return targets;
 }
 
-void TapestryOverlay::route_legacy(Route& r, std::size_t start,
-                                   RingPoint key) const {
-  tapestry_route(
-      r, start, key, levels_, table_->size(), hop_cap(),
-      [this](RingPoint p) { return table_->successor_index(p); },
-      [this](std::size_t i) { return table_->at(i); });
-}
-
 void TapestryOverlay::route_indexed(const RoutingIndex& ix, Route& r,
                                     std::size_t start, RingPoint key) const {
-  tapestry_route(
-      r, start, key, levels_, table_->size(), hop_cap(),
-      [&ix](RingPoint p) { return ix.successor_index(p); },
-      [&ix](std::size_t i) { return ix.point(i); });
+  const std::size_t target = ix.successor_index(key);
+  std::size_t cur = start;
+  r.path.push_back(cur);
+
+  while (cur != target) {
+    const int shared = shared_digits(ix.point(cur), key);
+    if (shared >= levels_) break;  // past the table's resolution: walk
+    // Hop to the first node clockwise of the key's level-(shared+1)
+    // prefix corner.  That node either shares one more digit with the
+    // key or IS suc(key) (empty sub-arc below the key).
+    const unsigned d =
+        static_cast<unsigned>((key.raw() >> (64 - 4 * (shared + 1))) & 0xF);
+    const std::size_t next = ix.successor_index(entry_point(key, shared, d));
+    if (next == cur) break;  // unreachable by ring geometry; defensive
+    cur = next;
+    r.path.push_back(cur);
+    if (r.path.size() > hop_cap()) return;
+  }
+
+  // Tail walk for the (rare) beyond-resolution case.
+  ring_walk(r, cur, target);
 }
 
 }  // namespace tg::overlay

@@ -49,30 +49,30 @@ void ViceroyOverlay::fill_index_row(const RoutingIndex& ix, std::size_t i,
   }
 }
 
-void ViceroyOverlay::route_legacy(Route& r, std::size_t start,
-                                  RingPoint key) const {
-  const std::size_t target = table_->successor_index(key);
+void ViceroyOverlay::route_indexed(const RoutingIndex& ix, Route& r,
+                                   std::size_t start, RingPoint key) const {
+  const std::size_t target = ix.successor_index(key);
   std::size_t cur = start;
   r.path.push_back(cur);
   const std::size_t cap = hop_cap();
-  const std::size_t m = table_->size();
 
   // Butterfly descent: from the current node, repeatedly take the
   // largest distance-halving step that does not overshoot the key —
   // emulating the down-left/down-right choice per level.  This is the
-  // butterfly's greedy descent on the ring embedding.
+  // butterfly's greedy descent on the ring embedding; both candidates
+  // come pre-resolved from the node's row.
   int level = 1;
   while (cur != target && level <= levels_) {
     if (r.path.size() > cap) return;
-    const RingPoint cur_pt = table_->at(cur);
+    const RingPoint cur_pt = ix.point(cur);
     const std::uint64_t dist = cur_pt.cw_distance_to(key);
     // Down-left covers 2^-level of the ring; down-right covers 1/2.
     const std::uint64_t down_left = 1ULL << (64 - level);
     std::size_t next = cur;
     if (dist >= ids::kHalfRing) {
-      next = table_->successor_index(cur_pt.advanced(ids::kHalfRing));
+      next = ix.row(cur)[0];
     } else if (dist >= down_left) {
-      next = table_->successor_index(cur_pt.advanced(down_left));
+      next = ix.row(cur)[level];
     } else {
       ++level;  // this level's edges overshoot; descend
       continue;
@@ -86,64 +86,7 @@ void ViceroyOverlay::route_legacy(Route& r, std::size_t start,
   }
   // Final ring walk (shorter arc direction), as in the other O(1)
   // degree overlays.
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = table_->at(cur);
-    const RingPoint tgt_pt = table_->at(target);
-    if (cur_pt.cw_distance_to(tgt_pt) <= tgt_pt.cw_distance_to(cur_pt)) {
-      cur = (cur + 1) % m;
-    } else {
-      cur = (cur + m - 1) % m;
-    }
-    r.path.push_back(cur);
-  }
-  r.ok = true;
-}
-
-void ViceroyOverlay::route_indexed(const RoutingIndex& ix, Route& r,
-                                   std::size_t start, RingPoint key) const {
-  const std::size_t target = ix.successor_index(key);
-  std::size_t cur = start;
-  r.path.push_back(cur);
-  const std::size_t cap = hop_cap();
-  const std::size_t m = ix.size();
-
-  // Same descent; the down-right/down-left successor lookups come from
-  // the node's pre-resolved row instead of binary searches.
-  int level = 1;
-  while (cur != target && level <= levels_) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = ix.point(cur);
-    const std::uint64_t dist = cur_pt.cw_distance_to(key);
-    const std::uint64_t down_left = 1ULL << (64 - level);
-    std::size_t next = cur;
-    if (dist >= ids::kHalfRing) {
-      next = ix.row(cur)[0];
-    } else if (dist >= down_left) {
-      next = ix.row(cur)[level];
-    } else {
-      ++level;
-      continue;
-    }
-    if (next != cur) {
-      cur = next;
-      r.path.push_back(cur);
-    } else {
-      ++level;
-    }
-  }
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = ix.point(cur);
-    const RingPoint tgt_pt = ix.point(target);
-    if (cur_pt.cw_distance_to(tgt_pt) <= tgt_pt.cw_distance_to(cur_pt)) {
-      cur = (cur + 1) % m;
-    } else {
-      cur = (cur + m - 1) % m;
-    }
-    r.path.push_back(cur);
-  }
-  r.ok = true;
+  ring_walk(r, cur, target);
 }
 
 }  // namespace tg::overlay

@@ -34,8 +34,6 @@ class ViceroyOverlay final : public InputGraph {
   [[nodiscard]] int levels() const noexcept { return levels_; }
 
  protected:
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;
 

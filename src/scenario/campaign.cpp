@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "net/network.hpp"
-#include "net/node.hpp"
 #include "sim/trial_runner.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -113,65 +112,40 @@ void CampaignRunner::print(const std::vector<ScenarioResult>& results,
 }
 
 // ---------------------------------------------------------------------------
-// The round-loop before/after measurement.
+// The chatter round loop.
 // ---------------------------------------------------------------------------
 
-namespace {
+void ChatterNode::on_start(net::Context& ctx) { ctx.wake_at(ctx.round() + 1); }
 
-/// Synthetic steady-state traffic: every node fans a payload out each
-/// round, so the network never quiesces and the round loop's
-/// allocation churn dominates — container churn for the buffer
-/// recycling measurement, payload spill churn (payload_words above
-/// Words::kInlineCapacity) for the pooling measurement.  The checksum
-/// folds the first and last payload word back into later sends, so a
-/// divergence anywhere in a payload amplifies into the trace hash.
-class ChatterNode final : public net::Node {
- public:
-  ChatterNode(std::size_t n, std::size_t fanout, std::size_t payload_words)
-      : n_(n), fanout_(fanout), payload_words_(payload_words) {}
-
-  void on_start(net::Context& ctx) override { ctx.wake_at(ctx.round() + 1); }
-
-  void on_message(const net::Message& m, net::Context& ctx) override {
-    (void)ctx;
-    if (!m.payload.empty()) {
-      checksum_ += m.payload.front() ^ m.payload.back();
-    }
+void ChatterNode::on_message(const net::Message& m, net::Context& ctx) {
+  (void)ctx;
+  if (!m.payload.empty()) {
+    checksum_ += m.payload.front() ^ m.payload.back();
   }
+}
 
-  void on_round_end(net::Context& ctx) override {
-    ctx.wake_at(ctx.round() + 1);
-    for (std::size_t k = 0; k < fanout_; ++k) {
-      const auto dst = static_cast<net::NodeId>(
-          (ctx.self() + 1 + k * 37 + ctx.round()) % n_);
-      net::Words payload = ctx.payload();
-      payload.reserve(payload_words_);
-      payload.push_back(ctx.round());
-      payload.push_back(checksum_);
-      std::uint64_t filler = checksum_ ^ (ctx.round() * 0x9E3779B97F4A7C15ULL);
-      while (payload.size() < payload_words_) {
-        filler = filler * 6364136223846793005ULL + 1442695040888963407ULL;
-        payload.push_back(filler);
-      }
-      ctx.send(dst, /*tag=*/k, std::move(payload));
+void ChatterNode::on_round_end(net::Context& ctx) {
+  ctx.wake_at(ctx.round() + 1);
+  for (std::size_t k = 0; k < fanout_; ++k) {
+    const auto dst = static_cast<net::NodeId>(
+        (ctx.self() + 1 + k * 37 + ctx.round()) % n_);
+    net::Words payload;
+    payload.reserve(payload_words_);
+    payload.push_back(ctx.round());
+    payload.push_back(checksum_);
+    std::uint64_t filler = checksum_ ^ (ctx.round() * 0x9E3779B97F4A7C15ULL);
+    while (payload.size() < payload_words_) {
+      filler = filler * 6364136223846793005ULL + 1442695040888963407ULL;
+      payload.push_back(filler);
     }
+    ctx.send(dst, /*tag=*/k, std::move(payload));
   }
-
- private:
-  std::size_t n_;
-  std::size_t fanout_;
-  std::size_t payload_words_;
-  std::uint64_t checksum_ = 0;
-};
-
-}  // namespace
+}
 
 RoundLoopResult run_chatter_round_loop(const RoundLoopConfig& config) {
   const std::size_t payload_words = std::max<std::size_t>(
       config.payload_words, 2);  // round + checksum words
   net::Network network(net::DeliveryPolicy{}, config.seed, /*threads=*/1);
-  network.set_buffer_recycling(config.recycle_buffers);
-  network.set_payload_pooling(config.pool_payloads);
   for (std::size_t i = 0; i < config.nodes; ++i) {
     network.add_node(
         std::make_unique<ChatterNode>(config.nodes, config.fanout,
@@ -185,64 +159,7 @@ RoundLoopResult run_chatter_round_loop(const RoundLoopConfig& config) {
       sw.seconds() * 1e9 / static_cast<double>(config.rounds);
   out.trace_hash = network.trace_hash();
   out.delivered = network.stats().delivered;
-  const net::WordArena::Stats arena = network.payload_arena().stats();
-  out.arena_allocated = arena.allocated;
-  out.arena_recycled = arena.recycled;
-  out.arena_heap_allocations = network.payload_arena().heap_allocations();
   return out;
-}
-
-void append_round_loop_benchmark(bench::JsonReporter& out, std::size_t nodes,
-                                 std::size_t fanout, std::size_t rounds,
-                                 std::size_t payload_words) {
-  RoundLoopConfig config;
-  config.nodes = nodes;
-  config.fanout = fanout;
-  config.rounds = rounds;
-  config.payload_words = payload_words;
-
-  // Warm-up pass (first-touch, pool spin-up), then the measured runs.
-  (void)run_chatter_round_loop(config);
-
-  RoundLoopConfig legacy_config = config;  // the seed allocation pattern
-  legacy_config.recycle_buffers = false;
-  legacy_config.pool_payloads = false;
-  RoundLoopConfig batched_config = config;  // PR 2: buffers recycled
-  batched_config.pool_payloads = false;
-  const RoundLoopResult legacy = run_chatter_round_loop(legacy_config);
-  const RoundLoopResult batched = run_chatter_round_loop(batched_config);
-  const RoundLoopResult pooled = run_chatter_round_loop(config);
-
-  if (legacy.trace_hash != batched.trace_hash ||
-      legacy.trace_hash != pooled.trace_hash ||
-      legacy.delivered != batched.delivered ||
-      legacy.delivered != pooled.delivered) {
-    // Buffer recycling and payload pooling must be invisible in
-    // delivered traffic; a mismatch is a runtime-correctness bug, not
-    // a perf result.
-    throw std::logic_error(
-        "round-loop recycling/pooling diverged from the legacy path");
-  }
-
-  const double messages_per_round =
-      static_cast<double>(pooled.delivered) / static_cast<double>(rounds);
-  const bench::JsonReporter::Fields shape{
-      {"nodes", static_cast<double>(nodes)},
-      {"messages_per_round", messages_per_round},
-      {"payload_words", static_cast<double>(payload_words)}};
-  out.add_ns_per_op("net_round_loop_legacy", legacy.ns_per_round, shape);
-  out.add_ns_per_op("net_round_loop_batched", batched.ns_per_round, shape);
-  out.add_ns_per_op("net_round_loop_pooled", pooled.ns_per_round, shape);
-  out.add("speedup_net_round_loop",
-          {{"speedup", legacy.ns_per_round / batched.ns_per_round},
-           {"identical_traffic", 1.0}});
-  out.add("speedup_net_payload_pooling",
-          {{"speedup", legacy.ns_per_round / pooled.ns_per_round},
-           {"vs_batched", batched.ns_per_round / pooled.ns_per_round},
-           {"arena_recycled", static_cast<double>(pooled.arena_recycled)},
-           {"arena_heap_allocations",
-            static_cast<double>(pooled.arena_heap_allocations)},
-           {"identical_traffic", 1.0}});
 }
 
 }  // namespace tg::scenario

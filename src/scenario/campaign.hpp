@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "net/node.hpp"
 #include "scenario/scenario.hpp"
 #include "util/json_reporter.hpp"
 #include "util/stats.hpp"
@@ -94,19 +95,38 @@ class CampaignRunner {
   CampaignOptions options_;
 };
 
-/// One configuration of the synthetic chatter round loop — the
-/// allocation-pattern microworkload behind the net runtime's perf
-/// trajectory (buffer recycling in PR 2, payload pooling in PR 3).
+/// Synthetic steady-state traffic: every node fans a payload of
+/// `payload_words` words out each round, so the network never
+/// quiesces and the round loop's per-message path dominates.  The
+/// checksum folds the first and last payload word back into later
+/// sends, so a divergence anywhere in a payload amplifies into the
+/// trace hash.  run_chatter_round_loop drives it on one executor
+/// thread; tests drive the same nodes at other widths.
+class ChatterNode final : public net::Node {
+ public:
+  ChatterNode(std::size_t n, std::size_t fanout, std::size_t payload_words)
+      : n_(n), fanout_(fanout), payload_words_(payload_words) {}
+
+  void on_start(net::Context& ctx) override;
+  void on_message(const net::Message& m, net::Context& ctx) override;
+  void on_round_end(net::Context& ctx) override;
+
+ private:
+  std::size_t n_;
+  std::size_t fanout_;
+  std::size_t payload_words_;
+  std::uint64_t checksum_ = 0;
+};
+
+/// One configuration of the chatter round loop — the microworkload
+/// behind the net runtime's perf trajectory (BENCH_net.json).
 struct RoundLoopConfig {
   std::size_t nodes = 256;
   std::size_t fanout = 4;
   std::size_t rounds = 300;
   /// Words per chatter message (clamped to >= 2: round + checksum).
-  /// Above Words::kInlineCapacity every message spills, which is what
-  /// makes payload pooling measurable.
+  /// Above Words::kInlineCapacity every message spills to the heap.
   std::size_t payload_words = 2;
-  bool recycle_buffers = true;
-  bool pool_payloads = true;
   std::uint64_t seed = 42;
 };
 
@@ -114,30 +134,12 @@ struct RoundLoopResult {
   double ns_per_round = 0.0;
   std::uint64_t trace_hash = 0;
   std::uint64_t delivered = 0;
-  /// Payload-arena counters after the run (zeros when pooling off).
-  std::uint64_t arena_allocated = 0;
-  std::uint64_t arena_recycled = 0;
-  std::uint64_t arena_heap_allocations = 0;
 };
 
-/// Run the chatter workload under one configuration.  Delivered
-/// traffic (and hence trace_hash) is a pure function of
-/// (nodes, fanout, rounds, payload_words, seed) — the buffer/payload
-/// toggles must not change it, which is what the equivalence checks
-/// in append_round_loop_benchmark and tests/test_net.cpp assert.
+/// Run the chatter workload under one configuration on a one-thread
+/// executor.  Delivered traffic (and hence trace_hash) is a pure
+/// function of (nodes, fanout, rounds, payload_words, seed).
 [[nodiscard]] RoundLoopResult run_chatter_round_loop(
     const RoundLoopConfig& config);
-
-/// Measure the network round loop along the optimization trajectory —
-/// legacy (fresh vectors + heap payload spill), batched (recycled
-/// buffers, PR 2), pooled (recycled buffers + arena payloads) — verify
-/// all three deliver byte-identical traffic (trace hash), and append
-/// net_round_loop_legacy / net_round_loop_batched /
-/// net_round_loop_pooled plus the two speedup rows to the reporter.
-void append_round_loop_benchmark(bench::JsonReporter& out,
-                                 std::size_t nodes = 256,
-                                 std::size_t fanout = 4,
-                                 std::size_t rounds = 300,
-                                 std::size_t payload_words = 12);
 
 }  // namespace tg::scenario

@@ -1,7 +1,6 @@
-// Shared fixed-bucket log-scale histogram (HDR-style), promoted out of
-// the workload recorder so the telemetry plane and future daemon code
-// can reuse it.  `workload::LatencyHistogram` is now an alias of this
-// type; the semantics are unchanged.
+// Shared fixed-bucket log-scale histogram (HDR-style): the workload
+// recorder's latency distribution and the telemetry plane's histogram
+// probes.
 //
 // Design constraints, in order:
 //   1. DETERMINISM — recorded values are integers, bucket counts are

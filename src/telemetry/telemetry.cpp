@@ -22,12 +22,6 @@ constexpr ProbeInfo kProbeTable[kProbeCount] = {
     {"net.fault.delayed", ProbeKind::counter, true},
     {"net.fault.duplicated", ProbeKind::counter, true},
     {"net.fault.reordered", ProbeKind::counter, true},
-    {"net.arena.allocated", ProbeKind::counter, true},
-    {"net.arena.released", ProbeKind::counter, true},
-    {"net.arena.unpooled", ProbeKind::counter, true},
-    // Free-list hits depend on which shard a stealing thread drained
-    // first — schedule-dependent by design (see words.hpp).
-    {"net.arena.recycled", ProbeKind::counter, false},
     {"net.delivered_per_round", ProbeKind::histogram, true},
     {"overlay.routes", ProbeKind::counter, true},
     {"overlay.route_failures", ProbeKind::counter, true},

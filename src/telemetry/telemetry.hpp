@@ -25,12 +25,11 @@
 //      source, name, phase, id, args) before export; events with equal
 //      keys are identical records, so the exported bytes are invariant
 //      under any thread interleaving.
-//   4. STABLE vs UNSTABLE metrics.  A few counters are inherently
-//      schedule-dependent (arena free-list recycling hits under
-//      steal-on-miss sharding, the process RSS watermark).  These are
+//   4. STABLE vs UNSTABLE metrics.  A metric that is inherently
+//      allocator- or OS-dependent (the process RSS watermark) is
 //      marked unstable in the probe table and EXCLUDED from the
 //      default export, which is what the 1-vs-N-thread byte-equality
-//      gates compare; `include_unstable` opts them back in for
+//      gates compare; `include_unstable` opts it back in for
 //      diagnostics.
 //
 // Binding model: `set_active()` binds one session process-wide (bench
@@ -78,10 +77,6 @@ enum class Probe : std::uint16_t {
   net_fault_delayed,
   net_fault_duplicated,
   net_fault_reordered,
-  net_arena_allocated,
-  net_arena_released,
-  net_arena_unpooled,
-  net_arena_recycled,         // UNSTABLE: steal-on-miss shard scheduling
   net_delivered_per_round,    // histogram
   overlay_routes,
   overlay_route_failures,

@@ -45,7 +45,7 @@ inline std::uint64_t peak_rss_bytes() {
 
 /// Reset the kernel's peak-RSS watermark so the next peak_rss_bytes()
 /// read covers only the phase that follows — this is what makes a
-/// per-phase peak meaningful when one process measures several layouts
+/// per-phase peak meaningful when one process measures several phases
 /// back to back.  Linux-only (writes "5" to /proc/self/clear_refs);
 /// returns false elsewhere or on permission failure, in which case
 /// peaks are process-lifetime monotone and phase rows overstate.

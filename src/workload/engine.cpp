@@ -56,7 +56,7 @@ void pad_payload(net::Words& payload, std::uint64_t op_id,
 void send_request(net::Context& ctx, net::NodeId dst, const Operation& op,
                   std::uint64_t op_id, net::NodeId reply_to,
                   std::size_t padding_words) {
-  net::Words payload = ctx.payload();
+  net::Words payload;
   payload.reserve(kReqHops + padding_words);
   payload.push_back(op_id);
   payload.push_back(reply_to);
@@ -174,7 +174,7 @@ class GroupNode final : public net::Node {
     }
 
     // Forward along the hop chain; the entry group establishes it.
-    net::Words payload = ctx.payload();
+    net::Words payload;
     payload.reserve(m.payload.size());
     for (std::size_t i = 0; i < kReqHopCount; ++i) {
       payload.push_back(m.payload[i]);
@@ -225,7 +225,7 @@ class GroupNode final : public net::Node {
  private:
   void reply(net::Context& ctx, net::NodeId reply_to, std::uint64_t op_id,
              std::uint64_t status, std::uint64_t value) {
-    net::Words payload = ctx.payload();
+    net::Words payload;
     payload.reserve(3 + padding_words_);
     payload.push_back(op_id);
     payload.push_back(status);
@@ -840,29 +840,12 @@ RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
   // a pool worker hitting a cold index would build it inline.
   world.prepare_routing();
 
-  // Normalize the spec the nodes will observe: phases sorted, and the
-  // deprecated drop/delay aliases compiled into the fault plane (the
-  // single source of truth for message hazards).
+  // Normalize the spec the nodes will observe: phases sorted.
   Spec spec = spec_in;
   std::stable_sort(spec.phases.begin(), spec.phases.end(),
                    [](const AttackPhase& a, const AttackPhase& b) {
                      return a.start_round < b.start_round;
                    });
-  if (spec.drop_prob > 0.0 || spec.max_delay_rounds > 0) {
-    fault::HazardRule rule;
-    rule.drop_prob = spec.drop_prob;
-    if (spec.max_delay_rounds > 0) {
-      // Legacy semantics: uniform delay in [0, M] == delay with
-      // probability M/(M+1), magnitude uniform in 1..M.
-      rule.delay_prob = static_cast<double>(spec.max_delay_rounds) /
-                        (static_cast<double>(spec.max_delay_rounds) + 1.0);
-      rule.max_delay_rounds =
-          static_cast<std::uint32_t>(spec.max_delay_rounds);
-    }
-    spec.faults.rules.push_back(rule);
-    spec.drop_prob = 0.0;
-    spec.max_delay_rounds = 0;
-  }
   if (!spec.faults.empty() && spec.faults.seed == 0) {
     spec.faults.seed = mix64(seed ^ 0x6661756c74ULL);  // "fault"
   }
@@ -877,8 +860,6 @@ RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
     injector.emplace(spec.faults);
     network.set_fault_injector(&*injector);
   }
-  network.set_buffer_recycling(spec.recycle_buffers);
-  network.set_payload_pooling(spec.pool_payloads);
 
   std::vector<GroupNode*> groups;
   groups.reserve(world.groups());

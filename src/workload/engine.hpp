@@ -43,9 +43,8 @@ enum class Mode {
 
 [[nodiscard]] std::string_view to_string(Mode mode) noexcept;
 
-/// The self-healing request lifecycle (off by default — the legacy
-/// issue-once/time-out path, kept selectable and equivalence-tested
-/// like the runtime's storage toggles).  When enabled, every op gets:
+/// The self-healing request lifecycle (off by default — the
+/// issue-once/time-out path).  When enabled, every op gets:
 /// per-op deadline -> exponential-backoff retries through an
 /// ALTERNATE entry group -> optional hedged second attempt after a
 /// p99-derived delay.  The op id stays stable across attempts, so the
@@ -109,16 +108,9 @@ struct Spec {
   /// Bogus background requests per round that consume service and
   /// network capacity but are never recorded (the flood attack).
   double background_rate = 0.0;
-  /// DEPRECATED aliases: message hazards now live in `faults` (the
-  /// single source of truth).  Non-zero values here are compiled by
-  /// run() into an equivalent always-on HazardRule appended to
-  /// `faults` (drop_prob as-is; max_delay_rounds M as delay_prob
-  /// M/(M+1) with uniform magnitude 1..M, the legacy uniform-[0,M]
-  /// distribution).  Prefer setting `faults` directly.
-  double drop_prob = 0.0;
-  std::size_t max_delay_rounds = 0;
 
-  /// The deterministic fault plane for this run (empty = pristine
+  /// The deterministic fault plane for this run — the single source of
+  /// message hazards (empty = pristine
   /// delivery; the injector seam is then never attached and traffic
   /// is byte-identical to a fault-free build).  A zero plan seed is
   /// replaced with a run-seed derivation.
@@ -132,15 +124,8 @@ struct Spec {
   bool track_round_goodput = false;
 
   /// Synthetic certificate words padding every request/reply (above
-  /// net::Words::kInlineCapacity the traffic exercises the payload
-  /// arena — what the engine's perf pair measures).
+  /// net::Words::kInlineCapacity every payload spills to the heap).
   std::size_t padding_words = 4;
-
-  // Runtime storage toggles, kept selectable like the net layer's so
-  // the workload bench can measure pooled vs the seed allocation path
-  // on byte-identical traffic.
-  bool recycle_buffers = true;
-  bool pool_payloads = true;
 };
 
 struct RunResult {

@@ -1,9 +1,7 @@
-// Latency recording for the workload engine: the shared log-scale
-// histogram (now `telemetry::LogHistogram`, promoted out of this file
-// so the telemetry plane can reuse it) plus the per-run operation
-// ledger.  See telemetry/histogram.hpp for the determinism and
-// accuracy contract; `LatencyHistogram` remains the workload-facing
-// name.
+// Latency recording for the workload engine: the per-run operation
+// ledger, whose latency distribution is the shared log-scale
+// `telemetry::LogHistogram` (see telemetry/histogram.hpp for its
+// determinism and accuracy contract).
 #pragma once
 
 #include <cstdint>
@@ -11,10 +9,6 @@
 #include "telemetry/histogram.hpp"
 
 namespace tg::workload {
-
-/// Log-scale histogram over u64 latencies in ROUNDS.  Alias of the
-/// shared telemetry type; semantics unchanged since it lived here.
-using LatencyHistogram = telemetry::LogHistogram;
 
 /// Per-run (or per-shard) operation ledger: the latency distribution
 /// of completed ops plus the outcome counters the service reports.
@@ -24,7 +18,8 @@ using LatencyHistogram = telemetry::LogHistogram;
 /// a latency; timeouts record the timeout horizon instead (the
 /// client-observed truth: that is how long the client waited).
 struct Recorder {
-  LatencyHistogram latency;
+  /// Log-scale histogram over u64 latencies in ROUNDS.
+  telemetry::LogHistogram latency;
   std::uint64_t issued = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;

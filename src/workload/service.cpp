@@ -87,7 +87,7 @@ const overlay::InputGraph& World::topology() const noexcept {
 }
 
 void World::prepare_routing() const {
-  if (overlay::routing_index_enabled()) (void)topology().index();
+  (void)topology().index();
 }
 
 std::uint64_t World::pair_messages(std::size_t a, std::size_t b) const noexcept {

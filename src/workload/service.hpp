@@ -57,8 +57,8 @@ class World {
   /// route() into caller-owned scratch (allocation-free steady state).
   void route_into(overlay::Route& out, std::size_t start,
                   ids::RingPoint key) const;
-  /// Batch evaluation over the overlay: the routing seam and the
-  /// epoch index resolve once for the whole batch.
+  /// Batch evaluation over the overlay: the epoch index resolves once
+  /// for the whole batch.
   void route_many(const overlay::RouteQuery* queries, std::size_t count,
                   overlay::Route* out) const;
   /// The overlay requests route over (graph or region topology).

@@ -220,6 +220,18 @@ RunResult run_one(const ScenarioSpec& spec, bool with_adversary, Rng& rng) {
                             engine.rounds, rng());
     if (preset.has_value()) merge_plan(engine.faults, *preset);
   }
+  if (with_adversary && spec.adversary == AdversaryKind::late_release) {
+    // Late release holds messages back: an always-on rule delaying
+    // with probability M/(M+1) by a uniform 1..M rounds (a uniform
+    // extra delay in [0, M]).  Appended after the preset so the
+    // preset's rules keep their indices, which key FaultPlan draws.
+    fault::HazardRule rule;
+    rule.delay_prob = static_cast<double>(kLateReleaseDelayRounds) /
+                      (static_cast<double>(kLateReleaseDelayRounds) + 1.0);
+    rule.max_delay_rounds =
+        static_cast<std::uint32_t>(kLateReleaseDelayRounds);
+    engine.faults.rules.push_back(rule);
+  }
   return run(*service, engine, rng(), /*threads=*/1);
 }
 
@@ -272,11 +284,10 @@ Spec engine_spec(const ScenarioSpec& spec, bool with_adversary) {
       out.background_rate =
           std::max(2.0, axis.rate * kFloodBackgroundMultiplier);
       break;
-    case AdversaryKind::late_release:
-      out.max_delay_rounds = kLateReleaseDelayRounds;
-      break;
     default:
-      break;  // placement adversaries act through the world instead
+      // Placement adversaries act through the world; late release
+      // acts through the fault plane (see run_one).
+      break;
   }
   return out;
 }

@@ -1,10 +1,9 @@
 // Domain generators for the tinygroups property harness: the
-// dispatch-seam cross-product (layout x pooling x recycling x
-// hash-kernel x thread-count), churn sequences, adversary schedules,
-// and workload/payload shapes.  Every generator shrinks toward the
-// system's DEFAULT configuration (zero tape = soa + pooled + recycled
-// + every kernel tier enabled + 1 thread), so a minimal failing case
-// names the smallest deviation from the default that still fails.
+// dispatch-seam cross-product (hash-kernel x thread-count), churn
+// sequences, adversary schedules, and workload/payload shapes.  Every
+// generator shrinks toward the system's DEFAULT configuration (zero
+// tape = every kernel tier enabled + 1 thread), so a minimal failing
+// case names the smallest deviation from the default that still fails.
 //
 // Test-side on purpose: the generators reach into scenario/workload
 // specs and the dispatch seams (dispatch_seams.hpp), which the
@@ -16,11 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "core/group_table.hpp"
 #include "dispatch_seams.hpp"
 #include "fault/fault_plan.hpp"
-#include "net/network.hpp"
-#include "overlay/routing_index.hpp"
 #include "scenario/scenario.hpp"
 #include "util/proptest.hpp"
 
@@ -31,23 +27,15 @@ using proptest::Source;
 
 // ---- Dispatch-seam cross-product -----------------------------------------
 
-/// One point of the toggle cross-product the determinism contracts
+/// One point of the seam cross-product the determinism contracts
 /// must be invisible across.
 struct SeamConfig {
-  core::GroupLayout layout = core::GroupLayout::soa;
-  bool recycle_buffers = true;
-  bool pool_payloads = true;
-  bool routing_index = true;  ///< indexed vs legacy overlay routing
   int kernel_combo = 15;   ///< dispatch_seams bit combo (15 = all tiers)
   std::size_t threads = 1;
 
   [[nodiscard]] std::string describe() const {
     std::ostringstream out;
-    out << "layout=" << core::group_layout_name(layout)
-        << " storage=" << net::storage_toggles_name(recycle_buffers,
-                                                    pool_payloads)
-        << " routing=" << overlay::routing_path_name(routing_index)
-        << " kernels=" << kernel_combo << " threads=" << threads;
+    out << "kernels=" << kernel_combo << " threads=" << threads;
     return out.str();
   }
 };
@@ -55,38 +43,23 @@ struct SeamConfig {
 [[nodiscard]] inline Gen<SeamConfig> seam_config(std::size_t max_threads = 8) {
   return {[max_threads](Source& src) {
     SeamConfig c;
-    c.layout = src.below(2) == 0 ? core::GroupLayout::soa
-                                 : core::GroupLayout::legacy_aos;
-    c.recycle_buffers = src.below(2) == 0;
-    c.pool_payloads = src.below(2) == 0;
-    c.routing_index = src.below(2) == 0;  // zero tape = indexed default
     c.kernel_combo = 15 - static_cast<int>(src.below(16));
     c.threads = 1 + src.below(max_threads);
     return c;
   }};
 }
 
-/// Applies a SeamConfig's process-wide toggles (layout default and
-/// forced hash-kernel dispatch) for the current scope and restores the
-/// previous state on exit.  Per-run toggles (pooling, recycling,
-/// threads) are carried in the config for callers to apply to their
-/// workload/network specs.
+/// Forces a SeamConfig's hash-kernel dispatch for the current scope
+/// and restores the previous seams on exit.  The thread count is
+/// carried in the config for callers to pass to their runs.
 struct SeamScope {
-  core::GroupLayout saved_layout = core::default_group_layout();
-  bool saved_routing = overlay::routing_index_enabled();
   crypto::seams::DispatchGuard dispatch;  // restores kernel seams
 
   explicit SeamScope(const SeamConfig& c) {
-    core::set_default_group_layout(c.layout);
-    overlay::set_routing_index_enabled(c.routing_index);
     crypto::detail::set_shani_enabled((c.kernel_combo & 1) != 0);
     crypto::detail::set_sse2_enabled((c.kernel_combo & 2) != 0);
     crypto::detail::set_avx2_enabled((c.kernel_combo & 4) != 0);
     crypto::detail::set_avx512_enabled((c.kernel_combo & 8) != 0);
-  }
-  ~SeamScope() {
-    core::set_default_group_layout(saved_layout);
-    overlay::set_routing_index_enabled(saved_routing);
   }
 
   SeamScope(const SeamScope&) = delete;

@@ -17,6 +17,7 @@
 #include "scenario/scenario.hpp"
 #include "workload/engine.hpp"
 #include "workload/service.hpp"
+#include "workload/traffic.hpp"
 
 namespace {
 
@@ -318,40 +319,44 @@ workload::World blue_world() {
   return workload::World::from_regions(std::move(regions));
 }
 
-TEST(FaultEngine, LegacyHazardAliasesPromoteToEquivalentRule) {
-  // Spec hazards (drop_prob / max_delay_rounds) are deprecated thin
-  // aliases: run() must compile them into the FaultPlan rule with the
-  // documented distribution, byte-for-byte equal to building the rule
-  // by hand.
-  const auto run_with = [](bool via_alias) {
-    const workload::World world = blue_world();
-    workload::KvService service(world, 64, /*salt=*/3);
-    workload::Spec spec;
-    spec.mode = workload::Mode::open_loop;
-    spec.rate = 2.0;
-    spec.rounds = 64;
-    spec.timeout_rounds = 12;
-    if (via_alias) {
-      spec.drop_prob = 0.2;
-      spec.max_delay_rounds = 2;
-    } else {
-      HazardRule rule;
-      rule.drop_prob = 0.2;
-      rule.delay_prob = 2.0 / 3.0;
-      rule.max_delay_rounds = 2;
-      spec.faults.rules.push_back(rule);  // seed 0: run() derives it
-    }
-    return workload::run(service, spec, 17, 1);
+TEST(FaultEngine, LateReleaseTrafficIsPinned) {
+  // The late_release adversary delays traffic through an always-on
+  // fault rule appended after any fault preset (rule indices key the
+  // plan's draws).  Pinned with no preset and under two presets;
+  // recorded when the rule was still compiled from Spec hazard fields.
+  struct Pin {
+    const char* preset;
+    std::uint64_t trace;
+    std::uint64_t completed, timed_out;
   };
-  const auto alias = run_with(true);
-  const auto manual = run_with(false);
-  EXPECT_EQ(alias.trace_hash, manual.trace_hash);
-  EXPECT_EQ(alias.recorder.completed, manual.recorder.completed);
-  EXPECT_EQ(alias.recorder.timed_out, manual.recorder.timed_out);
-  EXPECT_EQ(alias.net.fault_dropped, manual.net.fault_dropped);
-  EXPECT_EQ(alias.net.fault_delayed, manual.net.fault_delayed);
-  EXPECT_GT(alias.net.fault_dropped, 0u);
-  EXPECT_GT(alias.net.fault_delayed, 0u);
+  const Pin pins[] = {
+      {"", 0xb0fe6a1149779166ULL, 222, 22},
+      {"drops", 0x05a9506d3a4f9cf9ULL, 172, 80},
+      {"chaos", 0x23e3f7882d422f81ULL, 140, 115},
+  };
+  for (const Pin& pin : pins) {
+    scenario::ScenarioSpec spec;
+    spec.adversary = scenario::AdversaryKind::late_release;
+    spec.topology = scenario::Topology::tinygroups;
+    spec.n = 256;
+    spec.beta = 0.08;
+    spec.trials = 2;
+    spec.seed = 4242;
+    spec.churn = {1, 64};
+    spec.workload.service = scenario::WorkloadAxis::Service::kv;
+    spec.workload.loop = scenario::WorkloadAxis::Loop::open;
+    spec.workload.rate = 2.0;
+    spec.workload.rounds = 64;
+    spec.workload.timeout_rounds = 24;
+    spec.workload.faults_preset = pin.preset;
+    const auto cell = workload::run_traffic_cell(spec, true, 1);
+    EXPECT_EQ(cell.trace_hash, pin.trace) << "preset '" << pin.preset << "'";
+    EXPECT_EQ(cell.recorder.issued, 256u) << "preset '" << pin.preset << "'";
+    EXPECT_EQ(cell.recorder.completed, pin.completed)
+        << "preset '" << pin.preset << "'";
+    EXPECT_EQ(cell.recorder.timed_out, pin.timed_out)
+        << "preset '" << pin.preset << "'";
+  }
 }
 
 TEST(FaultEngine, ChaosWithRetriesBitIdenticalAcrossThreadCounts) {

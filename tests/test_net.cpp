@@ -8,6 +8,7 @@
 
 #include "net/network.hpp"
 #include "net/relay.hpp"
+#include "scenario/campaign.hpp"
 
 namespace tg::net {
 namespace {
@@ -53,95 +54,6 @@ TEST(Words, CopyAndMoveAcrossStorageClasses) {
   target.clear();
   EXPECT_TRUE(target.empty());
   EXPECT_GE(target.capacity(), 2 * Words::kInlineCapacity);
-}
-
-TEST(Words, ArenaRecyclesSpillBlocks) {
-  WordArena arena;
-  {
-    Words w(&arena);
-    for (std::uint64_t i = 0; i < 4 * Words::kInlineCapacity; ++i) {
-      w.push_back(i);
-    }
-    EXPECT_TRUE(w.spilled());
-    EXPECT_EQ(w.arena(), &arena);
-  }  // block returns to the arena here
-  const auto after_first = arena.stats();
-  EXPECT_GT(after_first.allocated, 0u);
-  EXPECT_EQ(after_first.released, after_first.allocated);
-  EXPECT_GT(arena.free_blocks(), 0u);
-
-  // A second same-shape payload is served entirely from the free list
-  // (one reserve -> one block, recycled; no new heap allocation).
-  {
-    Words w(&arena);
-    w.reserve(4 * Words::kInlineCapacity);
-    w.push_back(7);
-    EXPECT_TRUE(w.spilled());
-  }
-  const auto after_second = arena.stats();
-  EXPECT_EQ(after_second.recycled, 1u);
-  EXPECT_EQ(after_second.allocated, after_first.allocated + 1);
-  EXPECT_EQ(arena.heap_allocations(), after_first.allocated);
-}
-
-TEST(Words, ArenaShardsScatterReleasesAndStealOnMiss) {
-  WordArena arena;
-  // A multiple of the shard count: round-robin release scattering then
-  // parks the same number of blocks in EVERY shard, wherever this
-  // thread's rotation happens to start.
-  constexpr std::size_t kBlocks = 4 * WordArena::kShardCount;
-  {
-    std::vector<Words> spilled;
-    for (std::size_t i = 0; i < kBlocks; ++i) {
-      Words w(&arena);
-      w.reserve(4 * Words::kInlineCapacity);
-      w.push_back(static_cast<std::uint64_t>(i));
-      spilled.push_back(std::move(w));
-    }
-  }  // all blocks return here, scattered across shards
-  EXPECT_EQ(arena.free_blocks(), kBlocks);
-  std::uint64_t released_total = 0;
-  for (std::size_t s = 0; s < WordArena::kShardCount; ++s) {
-    EXPECT_EQ(arena.shard_free_blocks(s), kBlocks / WordArena::kShardCount);
-    released_total += arena.shard_stats(s).released;
-  }
-  EXPECT_EQ(released_total, kBlocks);
-
-  // Re-allocating every block from this single thread must drain ALL
-  // shards through steal-on-miss — no fresh heap allocation even
-  // though 7/8 of the blocks are parked outside its home shard.
-  const auto heap_before = arena.heap_allocations();
-  {
-    std::vector<Words> again;
-    for (std::size_t i = 0; i < kBlocks; ++i) {
-      Words w(&arena);
-      w.reserve(4 * Words::kInlineCapacity);
-      again.push_back(std::move(w));
-    }
-    EXPECT_EQ(arena.free_blocks(), 0u);
-    EXPECT_EQ(arena.heap_allocations(), heap_before);
-  }
-  // Aggregate invariant across shards: every allocation was either
-  // recycled from some shard's list or charged to the heap.
-  const auto total = arena.stats();
-  EXPECT_EQ(total.allocated, total.recycled + arena.heap_allocations());
-}
-
-TEST(Words, AdoptArenaOnlyRebindsInlineStorage) {
-  WordArena arena;
-  Words heap_spilled;
-  for (std::uint64_t i = 0; i < 2 * Words::kInlineCapacity; ++i) {
-    heap_spilled.push_back(i);
-  }
-  // Already-spilled heap storage must keep its owner: releasing a
-  // plain-heap block into an arena would corrupt the pool.
-  heap_spilled.adopt_arena(&arena);
-  EXPECT_EQ(heap_spilled.arena(), nullptr);
-
-  Words fresh;
-  fresh.push_back(1);
-  fresh.adopt_arena(&arena);
-  EXPECT_EQ(fresh.arena(), &arena);
 }
 
 // ---------- Network executor ----------
@@ -265,8 +177,8 @@ TEST(Network, TraceIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(t1.messages_delivered, t8.messages_delivered);
 }
 
-/// Chatter with payloads wide enough to spill: the traffic generator
-/// for the payload-pooling equivalence checks.
+/// Chatter with payloads wide enough to spill past Words' inline
+/// capacity.
 class WidePayloadNode final : public Node {
  public:
   WidePayloadNode(std::size_t n, std::size_t words) : n_(n), words_(words) {}
@@ -280,7 +192,7 @@ class WidePayloadNode final : public Node {
 
   void on_round_end(Context& ctx) override {
     ctx.wake_at(ctx.round() + 1);
-    Words payload = ctx.payload();
+    Words payload;
     payload.push_back(state_);
     while (payload.size() < words_) {
       payload.push_back(payload.back() * 0x100000001B3ULL + ctx.round());
@@ -296,9 +208,7 @@ class WidePayloadNode final : public Node {
   std::uint64_t state_ = 1;
 };
 
-std::uint64_t run_wide_chatter(bool pooling, bool recycling,
-                               std::size_t threads,
-                               const std::vector<int>& toggle_schedule = {}) {
+std::uint64_t run_wide_chatter(std::size_t threads) {
   constexpr std::size_t kNodes = 16;
   DeliveryPolicy policy;
   policy.drop_prob = 0.1;
@@ -306,70 +216,53 @@ std::uint64_t run_wide_chatter(bool pooling, bool recycling,
   policy.byzantine.assign(kNodes, 0);
   policy.byzantine[5] = 1;
   Network net(std::move(policy), /*seed=*/777, threads);
-  net.set_payload_pooling(pooling);
-  net.set_buffer_recycling(recycling);
   for (std::size_t i = 0; i < kNodes; ++i) {
     net.add_node(std::make_unique<WidePayloadNode>(
         kNodes, 3 * Words::kInlineCapacity));
   }
   net.start();
-  for (std::size_t r = 0; r < 24; ++r) {
-    // Optional mid-run toggling: value at r flips the recycling mode.
-    if (r < toggle_schedule.size()) {
-      net.set_buffer_recycling(toggle_schedule[r] != 0);
-    }
-    net.run_round();
-  }
+  for (std::size_t r = 0; r < 24; ++r) net.run_round();
   return net.trace_hash();
 }
 
-TEST(Network, PayloadPoolingMatchesLegacyHeapExactly) {
-  // The acceptance contract: delivered traffic under payload pooling
-  // is byte-identical to the legacy heap path, with every payload
-  // spilled past the SBO capacity (and a policy actively dropping,
-  // delaying and corrupting so the full router engages).
-  const auto pooled = run_wide_chatter(true, true, 1);
-  const auto legacy = run_wide_chatter(false, true, 1);
-  const auto fully_legacy = run_wide_chatter(false, false, 1);
-  EXPECT_EQ(pooled, legacy);
-  EXPECT_EQ(pooled, fully_legacy);
-  // And pooling stays thread-count-invariant.
-  EXPECT_EQ(run_wide_chatter(true, true, 4), pooled);
+TEST(Network, SpilledPayloadTrafficIsThreadCountInvariant) {
+  // Every payload spills past the SBO capacity, and the policy drops,
+  // delays and corrupts, so the full router engages.
+  EXPECT_EQ(run_wide_chatter(4), run_wide_chatter(1));
 }
 
-TEST(Network, PoolingAndRecyclingAreOnByDefault) {
-  Network net(DeliveryPolicy{}, 1, 1);
-  EXPECT_TRUE(net.payload_pooling());
-  EXPECT_TRUE(net.buffer_recycling());
-  net.set_payload_pooling(false);
-  EXPECT_FALSE(net.payload_pooling());
-}
+TEST(Network, ChatterTrafficIsPinned) {
+  // run_chatter_round_loop's traffic, pinned at payloads that fit
+  // inline (4 words) and that spill (16 words), on 1 and 4 executor
+  // threads.  Recorded while the network still had switchable buffer
+  // recycling and pooled payload storage; all four combinations gave
+  // these pins.
+  struct Pin {
+    std::size_t words;
+    std::uint64_t trace;
+  };
+  for (const Pin pin : {Pin{4, 0xc80123380616b5bbULL},
+                        Pin{16, 0x812c2572662463ebULL}}) {
+    scenario::RoundLoopConfig config;
+    config.nodes = 64;
+    config.fanout = 3;
+    config.rounds = 50;
+    config.payload_words = pin.words;
+    const auto run = scenario::run_chatter_round_loop(config);
+    EXPECT_EQ(run.trace_hash, pin.trace) << pin.words << " words";
+    EXPECT_EQ(run.delivered, 9408u) << pin.words << " words";
 
-TEST(Network, InterleavedRecyclingTogglesKeepTraffic) {
-  // Flipping set_buffer_recycling between rounds mid-run must not
-  // change delivered traffic: recycled and fresh-buffer rounds
-  // interleave over the same inbox and delay wheel.
-  const std::vector<int> alternating{1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1};
-  const auto toggled = run_wide_chatter(true, true, 1, alternating);
-  const auto steady = run_wide_chatter(true, true, 1);
-  EXPECT_EQ(toggled, steady);
-}
-
-TEST(Network, ArenaServesSteadyStateFromFreeLists) {
-  constexpr std::size_t kNodes = 8;
-  Network net(DeliveryPolicy{}, 3, 1);
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    net.add_node(std::make_unique<WidePayloadNode>(
-        kNodes, 4 * Words::kInlineCapacity));
+    // The same nodes on a 4-thread executor.
+    Network net(DeliveryPolicy{}, config.seed, /*threads=*/4);
+    for (std::size_t i = 0; i < config.nodes; ++i) {
+      net.add_node(std::make_unique<scenario::ChatterNode>(
+          config.nodes, config.fanout, config.payload_words));
+    }
+    net.start();
+    for (std::size_t r = 0; r < config.rounds; ++r) net.run_round();
+    EXPECT_EQ(net.trace_hash(), pin.trace) << pin.words << " words";
+    EXPECT_EQ(net.stats().delivered, 9408u) << pin.words << " words";
   }
-  net.start();
-  for (std::size_t r = 0; r < 8; ++r) net.run_round();
-  const auto warm = net.payload_arena().heap_allocations();
-  for (std::size_t r = 0; r < 32; ++r) net.run_round();
-  const auto after = net.payload_arena().heap_allocations();
-  EXPECT_GT(net.payload_arena().stats().recycled, 0u);
-  // Warm rounds must not keep hitting the heap.
-  EXPECT_EQ(after, warm);
 }
 
 TEST(Network, DifferentSeedsDifferentTraces) {
@@ -778,7 +671,7 @@ TEST(RelayChain, HeavyDropStarvesButNeverForges) {
 }
 
 TEST(RelayChain, WidePayloadCopiesRelayAndFilterIdentically) {
-  // Copies wide enough to spill into pooled storage must not change
+  // Copies wide enough to spill to the heap must not change
   // the protocol outcome: word 0 still carries the value, and the
   // majority filter still rejects a Byzantine minority.
   RelayConfig cfg;

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "adversary/omit_ids.hpp"
 #include "overlay/chordpp.hpp"
@@ -280,73 +283,81 @@ TEST(OverlayNeighbors, DuplicateTargetsCollapseAndSelfIsExcluded) {
   }
 }
 
-// ---------- indexed-vs-legacy dispatch seam ----------
+// ---------- route pins ----------
 
-TEST(RoutingIndexSeam, ToggleAndPathNamesRoundTrip) {
-  const bool saved = routing_index_enabled();
-  set_routing_index_enabled(true);
-  EXPECT_TRUE(routing_index_enabled());
-  EXPECT_STREQ(routing_path_name(routing_index_enabled()), "indexed");
-  set_routing_index_enabled(false);
-  EXPECT_FALSE(routing_index_enabled());
-  EXPECT_STREQ(routing_path_name(routing_index_enabled()), "legacy");
-  set_routing_index_enabled(saved);
-}
-
-TEST(RoutingIndexSeam, IndexedMatchesLegacyOnEveryOverlayAndScale) {
-  const bool saved = routing_index_enabled();
-  Rng rng(82);
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{64},
-        std::size_t{777}}) {
+/// FNV-1a over (ok, hop count, path) of 500 seeded queries on each of
+/// tables with n in {1, 2, 3, 10^3, 10^4}: keys at 0, at 2^64-1,
+/// exactly on IDs, one past IDs and uniform.  `batch` routes the same
+/// queries through route_many instead of route.
+std::uint64_t route_digest(Kind kind, bool batch) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{1000}, std::size_t{10000}}) {
+    Rng rng(0x5eed0000ULL + n);
     const auto table = ids::RingTable::uniform(n, rng);
-    for (const Kind kind : all_kinds()) {
-      const auto graph = make_overlay(kind, table);
-      for (int i = 0; i < 50; ++i) {
-        const std::size_t start = rng.below(n);
-        const ids::RingPoint key{rng.u64()};
-        set_routing_index_enabled(false);
-        const Route legacy = graph->route(start, key);
-        set_routing_index_enabled(true);
-        const Route indexed = graph->route(start, key);
-        ASSERT_EQ(legacy.ok, indexed.ok)
-            << graph->name() << " n=" << n << " trial " << i;
-        ASSERT_TRUE(legacy.path == indexed.path)
-            << graph->name() << " n=" << n << " diverged at trial " << i;
+    const auto graph = make_overlay(kind, table);
+    std::vector<RouteQuery> queries(500);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      queries[q].start = rng.below(n);
+      std::uint64_t key = rng.u64();
+      if (q == 0) {
+        key = 0;
+      } else if (q == 1) {
+        key = ~0ULL;
+      } else if (q % 4 == 2) {
+        key = table.at(rng.below(n)).raw();  // exactly on an ID
+      } else if (q % 4 == 3) {
+        key = table.at(rng.below(n)).raw() + 1;  // just past an ID
+      }
+      queries[q].key = ids::RingPoint{key};
+    }
+    std::vector<Route> routes;
+    if (batch) {
+      graph->route_many(queries, routes);
+    } else {
+      for (const RouteQuery& q : queries) {
+        routes.push_back(graph->route(q.start, q.key));
       }
     }
-  }
-  set_routing_index_enabled(saved);
-}
-
-TEST(RoutingIndexSeam, RouteManyMatchesRouteOneByOne) {
-  const bool saved = routing_index_enabled();
-  set_routing_index_enabled(true);
-  Rng rng(83);
-  const auto table = ids::RingTable::uniform(512, rng);
-  for (const Kind kind : all_kinds()) {
-    const auto graph = make_overlay(kind, table);
-    std::vector<RouteQuery> queries(64);
-    for (auto& q : queries) {
-      q.start = rng.below(table.size());
-      q.key = ids::RingPoint{rng.u64()};
-    }
-    std::vector<Route> batch;
-    graph->route_many(queries, batch);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const Route one = graph->route(queries[i].start, queries[i].key);
-      EXPECT_EQ(batch[i].ok, one.ok) << graph->name() << " query " << i;
-      EXPECT_TRUE(batch[i].path == one.path) << graph->name() << " query "
-                                             << i;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      mix(routes[q].ok ? 1 : 0);
+      mix(routes[q].path.size());
+      for (const auto v : routes[q].path) mix(v);
     }
   }
-  set_routing_index_enabled(saved);
+  return h;
 }
 
-TEST(RoutingIndexSeam, IndexRebuildsAfterTableMutation) {
+TEST(Overlay, RoutesArePinned) {
+  // Recorded while a second, binary-search route implementation still
+  // existed beside the index; both produced these digests.  De Bruijn
+  // and distance-halving share one digest: their route loops inject
+  // the same key bits through the same halving map.
+  const std::pair<Kind, std::uint64_t> pins[] = {
+      {Kind::chord, 0xe67d0071751e1ecfULL},
+      {Kind::debruijn, 0x9d0b485776bd54afULL},
+      {Kind::distance_halving, 0x9d0b485776bd54afULL},
+      {Kind::viceroy, 0x616748390450866bULL},
+      {Kind::kautz, 0xc1a685ff2736597aULL},
+      {Kind::tapestry, 0xfeb8a6286eb6d889ULL},
+      {Kind::chordpp, 0xedd401aa9dc62e38ULL},
+  };
+  ASSERT_EQ(std::size(pins), all_kinds().size());
+  for (const auto& [kind, pin] : pins) {
+    EXPECT_EQ(route_digest(kind, /*batch=*/false), pin) << kind_slug(kind);
+    EXPECT_EQ(route_digest(kind, /*batch=*/true), pin) << kind_slug(kind);
+  }
+}
+
+TEST(RoutingIndex, RebuildsAfterTableMutation) {
   Rng rng(84);
-  auto table = ids::RingTable::uniform(128, rng);
+  // 100 -> 101 points keeps bits_for_size (and so Chord's finger
+  // count, fixed at construction) unchanged.
+  auto table = ids::RingTable::uniform(100, rng);
   const auto graph = make_overlay(Kind::chord, table);
   const RoutingIndex* first = &graph->index();
   EXPECT_EQ(first, &graph->index());  // cached while the table is stable
@@ -355,18 +366,18 @@ TEST(RoutingIndexSeam, IndexRebuildsAfterTableMutation) {
   EXPECT_GT(table.version(), v0);
   const RoutingIndex& rebuilt = graph->index();
   EXPECT_EQ(rebuilt.size(), table.size());
-  // Indexed routing stays hop-identical against the mutated table.
+  // Routes over the mutated table equal those of an overlay built
+  // fresh over a copy of it.
+  const ids::RingTable copy = table;
+  const auto fresh = make_overlay(Kind::chord, copy);
   for (int i = 0; i < 40; ++i) {
     const std::size_t start = rng.below(table.size());
     const ids::RingPoint key{rng.u64()};
-    const bool saved = routing_index_enabled();
-    set_routing_index_enabled(false);
-    const Route legacy = graph->route(start, key);
-    set_routing_index_enabled(true);
-    const Route indexed = graph->route(start, key);
-    set_routing_index_enabled(saved);
-    ASSERT_EQ(legacy.ok, indexed.ok);
-    ASSERT_TRUE(legacy.path == indexed.path);
+    const Route mutated = graph->route(start, key);
+    const Route expected = fresh->route(start, key);
+    ASSERT_EQ(mutated.ok, expected.ok);
+    ASSERT_TRUE(mutated.path == expected.path);
+    ASSERT_EQ(mutated.path.back(), table.successor_index(key));
   }
 }
 

@@ -2,9 +2,8 @@
 //
 // Where the unit suites pin concrete behaviours, these properties
 // assert the paper's structural invariants across GENERATED inputs —
-// overlays x sizes x adversary strength x seeds x the full dispatch
-// seam cross-product (layout x pooling x recycling x hash kernel x
-// thread count).  Every case is replayable: a failure prints a
+// overlays x sizes x adversary strength x seeds x the dispatch seam
+// cross-product (hash kernel x thread count).  Every case is replayable: a failure prints a
 // `TG_PROP_SEED=... ctest -R ...` line that regenerates the shrunk
 // minimal counterexample byte-for-byte (see docs/ARCHITECTURE.md,
 // "Property testing & replay").
@@ -267,15 +266,14 @@ TEST(OverlayProperties, EveryNodeIsReachableFromEverySampledStart) {
       });
 }
 
-TEST(OverlayProperties, IndexedRouteEqualsLegacyHopForHop) {
-  // THE hop-identity contract of the routing engine: the epoch-resident
-  // index is an acceleration structure, not a new algorithm.  For every
-  // overlay kind and table size (down to single-node tables) the
-  // indexed path must reproduce the legacy path hop for hop, and the
-  // batch evaluator must agree with one-at-a-time routing.
+TEST(OverlayProperties, RouteManyEqualsRouteOneByOne) {
+  // Batch evaluation resolves the index once per batch; for every
+  // overlay kind and table size (down to single-node tables) it must
+  // agree with one-at-a-time routing, and every route must end at the
+  // key's successor.
   using Case = std::tuple<overlay::Kind, std::uint64_t, std::uint64_t>;
   expect_property<Case>(
-      "overlay.indexed-route-equals-legacy",
+      "overlay.route-many-equals-route",
       proptest::tuple_of(overlay_kind(), proptest::in_range(1, 300),
                          proptest::u64()),
       [](const Case& c) {
@@ -283,34 +281,27 @@ TEST(OverlayProperties, IndexedRouteEqualsLegacyHopForHop) {
         Rng rng(seed);
         const auto table = ids::RingTable::uniform(n, rng);
         const auto graph = overlay::make_overlay(kind, table);
-        const bool saved = overlay::routing_index_enabled();
-        bool pass = true;
         std::vector<overlay::RouteQuery> queries;
-        std::vector<overlay::Route> legacy_routes;
-        for (int i = 0; i < 25 && pass; ++i) {
+        std::vector<overlay::Route> singles;
+        for (int i = 0; i < 25; ++i) {
           const std::size_t start = rng.below(n);
           const ids::RingPoint key{rng.u64()};
-          overlay::set_routing_index_enabled(false);
-          const auto legacy = graph->route(start, key);
-          overlay::set_routing_index_enabled(true);
-          const auto indexed = graph->route(start, key);
-          pass = legacy.ok == indexed.ok && legacy.path == indexed.path;
           queries.push_back({start, key});
-          legacy_routes.push_back(legacy);
-        }
-        if (pass) {
-          // Batch evaluation resolves the index once and must agree
-          // with the per-call path for the identical query list.
-          overlay::set_routing_index_enabled(true);
-          std::vector<overlay::Route> batch;
-          graph->route_many(queries, batch);
-          for (std::size_t i = 0; i < batch.size() && pass; ++i) {
-            pass = batch[i].ok == legacy_routes[i].ok &&
-                   batch[i].path == legacy_routes[i].path;
+          singles.push_back(graph->route(start, key));
+          if (!singles.back().ok ||
+              singles.back().path.back() != table.successor_index(key)) {
+            return false;
           }
         }
-        overlay::set_routing_index_enabled(saved);
-        return pass;
+        std::vector<overlay::Route> batch;
+        graph->route_many(queries, batch);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (batch[i].ok != singles[i].ok ||
+              !(batch[i].path == singles[i].path)) {
+            return false;
+          }
+        }
+        return true;
       },
       iters(14),
       [](const Case& c) {
@@ -320,7 +311,7 @@ TEST(OverlayProperties, IndexedRouteEqualsLegacyHopForHop) {
       });
 }
 
-// ---------- Group-graph construction, across beta x layout ----------
+// ---------- Group-graph construction, across beta ----------
 
 Gen<double> beta_notch() {
   // The paper's working range, 5% notches; shrinks toward beta = 0.
@@ -328,17 +319,14 @@ Gen<double> beta_notch() {
       [](std::uint64_t b) { return 0.05 * static_cast<double>(b); });
 }
 
-TEST(CoreProperties, StructuralInvariantsHoldAcrossBetaAndLayout) {
+TEST(CoreProperties, StructuralInvariantsHoldAcrossBeta) {
   struct Case {
     double beta = 0.0;
-    core::GroupLayout layout = core::GroupLayout::soa;
     std::uint64_t n = 0, seed = 0;
   };
   Gen<Case> gen{[](Source& src) {
     Case c;
     c.beta = beta_notch().run(src);
-    c.layout = src.below(2) == 0 ? core::GroupLayout::soa
-                                 : core::GroupLayout::legacy_aos;
     c.n = 256 + 128 * src.below(4);
     c.seed = src.draw();
     return c;
@@ -347,9 +335,6 @@ TEST(CoreProperties, StructuralInvariantsHoldAcrossBetaAndLayout) {
       "core.structural-invariants",
       gen,
       [](const Case& c) {
-        SeamConfig config;
-        config.layout = c.layout;
-        const SeamScope scope(config);
         core::Params p;
         p.n = c.n;
         p.beta = c.beta;
@@ -389,8 +374,7 @@ TEST(CoreProperties, StructuralInvariantsHoldAcrossBetaAndLayout) {
       iters(6),
       [](const Case& c) {
         std::ostringstream out;
-        out << "beta=" << c.beta << " layout="
-            << core::group_layout_name(c.layout) << " n=" << c.n << " seed "
+        out << "beta=" << c.beta << " n=" << c.n << " seed "
             << show_u64s({c.seed});
         return out.str();
       });
@@ -426,63 +410,7 @@ TEST(CoreProperties, MeanBadShareTracksBeta) {
       });
 }
 
-// ---------- Churn sequences: layout equivalence + monotone damage ----------
-
-/// FNV-1a over every group view + red flag: the layout-equivalence
-/// fingerprint (same as the scale suite's).
-std::uint64_t graph_fingerprint(const core::GroupGraph& graph) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t w) {
-    h ^= w;
-    h *= 1099511628211ull;
-  };
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto grp = graph.group(i);
-    mix(grp.leader);
-    mix(grp.bad_members);
-    mix(grp.confused);
-    mix(graph.is_red(i) ? 1 : 0);
-    for (const auto m : grp.members) mix(m);
-  }
-  return h;
-}
-
-TEST(ChurnProperties, SequencesAreLayoutInvariant) {
-  using Steps = std::vector<proptest_domains::ChurnStep>;
-  using Case = std::pair<Steps, std::uint64_t>;  // (sequence, world seed)
-  expect_property<Case>(
-      "churn.sequences-are-layout-invariant",
-      proptest::pair_of(proptest_domains::churn_sequence(4), proptest::u64()),
-      [](const Case& c) {
-        core::Params p;
-        p.n = 512;
-        p.beta = 0.15;
-        p.seed = c.second;
-        const auto run = [&](core::GroupLayout layout) {
-          SeamConfig config;
-          config.layout = layout;
-          const SeamScope scope(config);
-          Rng rng(p.seed);
-          auto pop = std::make_shared<const core::Population>(
-              core::Population::uniform(p.n, p.beta, rng));
-          const crypto::OracleSuite oracles(p.seed);
-          auto graph = core::GroupGraph::pristine(p, pop, oracles.h1);
-          for (const auto& step : c.first) {
-            Rng churn_rng(step.salt);
-            (void)core::apply_good_departures(graph, step.departure_fraction,
-                                              churn_rng);
-          }
-          return graph_fingerprint(graph);
-        };
-        return run(core::GroupLayout::soa) ==
-               run(core::GroupLayout::legacy_aos);
-      },
-      iters(4),
-      [](const Case& c) {
-        return proptest_domains::show_churn(c.first) + " world seed " +
-               show_u64s({c.second});
-      });
-}
+// ---------- Churn sequences: monotone damage ----------
 
 TEST(ChurnProperties, DeeperDeparturesNeverRemoveFewerGoodIds) {
   // Monotonicity of damage: with the SAME departure stream, a larger
@@ -919,7 +847,7 @@ TEST(GossipProperties, RunStringProtocolMatchesPushReference) {
       });
 }
 
-// ---------- Workload traffic across the FULL seam cross-product ----------
+// ---------- Workload traffic across the seam cross-product ----------
 
 struct TrafficSnapshot {
   std::uint64_t trace = 0;
@@ -937,9 +865,7 @@ TrafficSnapshot run_traffic_under(const scenario::ScenarioSpec& spec,
   const workload::World world = workload::world_for_trial(spec, false, rng);
   const auto service =
       workload::make_service(spec.workload.service, world, 128, rng());
-  workload::Spec engine = workload::engine_spec(spec, false);
-  engine.recycle_buffers = config.recycle_buffers;
-  engine.pool_payloads = config.pool_payloads;
+  const workload::Spec engine = workload::engine_spec(spec, false);
   const workload::RunResult res =
       workload::run(*service, engine, rng(), config.threads);
   return {res.trace_hash,          res.recorder.issued,
@@ -951,9 +877,9 @@ TrafficSnapshot run_traffic_under(const scenario::ScenarioSpec& spec,
 TEST(WorkloadProperties, TrafficIsInvariantAcrossTheSeamCrossProduct) {
   // THE determinism contract of the runtime stack: client traffic is a
   // pure function of (spec, seed) — bit-identical metrics and trace
-  // hash at every point of layout x recycling x pooling x kernel x
-  // thread-count.  One case = a generated spec judged at a generated
-  // seam point against the all-defaults point.
+  // hash at every point of kernel x thread-count.  One case = a
+  // generated spec judged at a generated seam point against the
+  // all-defaults point.
   using Case = std::pair<scenario::ScenarioSpec, SeamConfig>;
   expect_property<Case>(
       "workload.traffic-invariant-across-seams",
@@ -1070,16 +996,12 @@ TEST(FaultProperties, ZeroProbabilityPlansAreByteIdenticalToNoFaults) {
 // ---------- Telemetry plane ----------
 
 TEST(TelemetryProperties, ExportsAreByteInvariantAcrossTheSeamCrossProduct) {
-  // The telemetry determinism contract, swept over the FULL dispatch
-  // seam cross-product (layout x pooling x recycling x kernel x
-  // routing-index): at ANY generated seam point, the exported metrics
-  // JSON and Chrome trace JSON are byte-identical at 1 executor thread
-  // and at the generated thread count.  Additionally, seams that are
-  // behavior-invisible by contract (layout, kernels, recycling) must
-  // leave the export bytes untouched relative to the default point;
-  // pooling and the routing index legitimately change which probes
-  // fire (arena / index counters), so they are exercised through the
-  // thread axis only.
+  // The telemetry determinism contract, swept over the dispatch seam
+  // cross-product (kernel x thread count): at ANY generated seam
+  // point, the exported metrics JSON and Chrome trace JSON are
+  // byte-identical at 1 executor thread and at the generated thread
+  // count, and the kernel tier leaves the export bytes untouched
+  // relative to the default point.
   using Case = std::pair<scenario::ScenarioSpec, SeamConfig>;
   expect_property<Case>(
       "telemetry.exports-byte-invariant-across-seams",
@@ -1097,9 +1019,8 @@ TEST(TelemetryProperties, ExportsAreByteInvariantAcrossTheSeamCrossProduct) {
               workload::world_for_trial(c.first, false, rng);
           const auto service = workload::make_service(
               c.first.workload.service, world, 128, rng());
-          workload::Spec engine = workload::engine_spec(c.first, false);
-          engine.recycle_buffers = config.recycle_buffers;
-          engine.pool_payloads = config.pool_payloads;
+          const workload::Spec engine =
+              workload::engine_spec(c.first, false);
           (void)workload::run(*service, engine, rng(), threads);
           telemetry::set_active(nullptr);
           return {session.metrics_json(), session.chrome_trace_json()};
@@ -1107,12 +1028,7 @@ TEST(TelemetryProperties, ExportsAreByteInvariantAcrossTheSeamCrossProduct) {
         const auto narrow = export_under(c.second, 1);
         const auto wide = export_under(c.second, c.second.threads);
         if (narrow != wide) return false;
-        SeamConfig invisible;  // defaults for the probe-visible seams
-        invisible.layout = c.second.layout;
-        invisible.kernel_combo = c.second.kernel_combo;
-        invisible.recycle_buffers = c.second.recycle_buffers;
-        const auto baseline = export_under(SeamConfig{}, 1);
-        return export_under(invisible, 1) == baseline;
+        return narrow == export_under(SeamConfig{}, 1);
       },
       iters(2),
       [](const Case& c) {

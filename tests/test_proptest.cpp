@@ -2,12 +2,12 @@
 // env-var replay contract (TG_PROP_SEED / TG_PROP_ITERS /
 // TG_PROP_ARTIFACT_DIR), shrinker convergence to known minimal cases,
 // byte-identical failure-report replay, failing-seed artifacts — and
-// the acceptance end-to-end: a deliberately broken layout-equivalence
-// invariant (core::detail::set_layout_divergence_fault) is caught,
-// shrunk to the minimal world, and reproduced bit-identically from
-// TG_PROP_SEED.
+// the acceptance end-to-end: a divergence injected into an epoch
+// equivalence property is caught, shrunk to the minimal world, and
+// reproduced bit-identically from TG_PROP_SEED.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -15,9 +15,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/group_graph.hpp"
-#include "core/group_table.hpp"
 #include "core/params.hpp"
 #include "core/population.hpp"
 #include "crypto/oracle.hpp"
@@ -125,15 +125,9 @@ TEST(PropDomains, ZeroTapeSeamConfigIsTheDefaultConfiguration) {
   const std::uint64_t zeros[8] = {};
   Source src{std::span<const std::uint64_t>(zeros)};
   const auto c = proptest_domains::seam_config().run(src);
-  EXPECT_EQ(c.layout, core::GroupLayout::soa);
-  EXPECT_TRUE(c.recycle_buffers);
-  EXPECT_TRUE(c.pool_payloads);
-  EXPECT_TRUE(c.routing_index);
   EXPECT_EQ(c.kernel_combo, 15);
   EXPECT_EQ(c.threads, 1u);
-  EXPECT_EQ(c.describe(),
-            "layout=soa storage=recycle+pool routing=indexed kernels=15 "
-            "threads=1");
+  EXPECT_EQ(c.describe(), "kernels=15 threads=1");
 }
 
 // ---------- check(): iteration & env contract ----------
@@ -331,45 +325,43 @@ TEST(PropArtifacts, SeedFileWrittenWithReproCommand) {
   fs::remove_all(dir);
 }
 
-// ---------- Acceptance: injected layout divergence, end to end ----------
+// ---------- Acceptance: injected divergence, end to end ----------
 
-/// RAII for the deliberate layout-equivalence break.
-struct FaultScope {
-  explicit FaultScope(bool on) { core::detail::set_layout_divergence_fault(on); }
-  ~FaultScope() { core::detail::set_layout_divergence_fault(false); }
-};
-
-/// The layout-equivalence property: pristine epochs built under soa
-/// and legacy_aos from the same (n, seed) must agree on every group
-/// view and red classification.
-bool layouts_agree(std::uint64_t n, std::uint64_t seed) {
-  struct LayoutGuard {
-    core::GroupLayout saved = core::default_group_layout();
-    ~LayoutGuard() { core::set_default_group_layout(saved); }
-  } guard;
-
+/// The pristine-epoch property: GroupGraph::pristine must agree, group
+/// by group, with a from-scratch reference that draws every membership
+/// point through RandomOracle::value_pair and resolves it with a
+/// binary search.  `inject` breaks the REFERENCE on purpose (group 0's
+/// bad count off by one), so the harness faces a real divergence.
+bool pristine_matches_reference(std::uint64_t n, std::uint64_t seed,
+                                bool inject) {
   core::Params params;
   params.n = n;
   params.seed = seed;
   params.beta = 0.10;
+  Rng rng(params.seed);
+  const auto pop = std::make_shared<const core::Population>(
+      core::Population::uniform(params.n, params.beta, rng));
+  const crypto::OracleSuite oracles(params.seed);
+  const core::GroupGraph graph =
+      core::GroupGraph::pristine(params, pop, oracles.h1);
+  if (graph.size() != pop->size()) return false;
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    std::vector<std::uint32_t> members;
+    const std::uint64_t w = pop->table().at(i).raw();
+    for (std::size_t slot = 0; slot < params.group_size(); ++slot) {
+      const ids::RingPoint point{oracles.h1.value_pair(w, slot)};
+      members.push_back(
+          static_cast<std::uint32_t>(pop->table().successor_index(point)));
+    }
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    std::size_t bad = 0;
+    for (const auto m : members) bad += pop->is_bad(m) ? 1 : 0;
+    if (inject && i == 0) ++bad;
 
-  const auto build = [&](core::GroupLayout layout) {
-    core::set_default_group_layout(layout);
-    Rng rng(params.seed);
-    const auto pop = std::make_shared<const core::Population>(
-        core::Population::uniform(params.n, params.beta, rng));
-    const crypto::OracleSuite oracles(params.seed);
-    return core::GroupGraph::pristine(params, pop, oracles.h1);
-  };
-  const core::GroupGraph soa = build(core::GroupLayout::soa);
-  const core::GroupGraph legacy = build(core::GroupLayout::legacy_aos);
-  if (soa.size() != legacy.size()) return false;
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    const core::GroupView a = soa.group(i);
-    const core::GroupView b = legacy.group(i);
-    if (a.leader != b.leader || !(a.members == b.members) ||
-        a.bad_members != b.bad_members || a.confused != b.confused ||
-        soa.is_red(i) != legacy.is_red(i)) {
+    const core::GroupView g = graph.group(i);
+    if (g.leader != i || !(g.members == core::MemberSpan(members)) ||
+        g.bad_members != bad || g.confused) {
       return false;
     }
   }
@@ -386,26 +378,28 @@ std::string show_world(const std::pair<std::uint64_t, std::uint64_t>& w) {
   return out.str();
 }
 
-TEST(PropAcceptance, InjectedLayoutDivergenceCaughtShrunkAndReplayed) {
+TEST(PropAcceptance, InjectedEpochDivergenceCaughtShrunkAndReplayed) {
   const CleanPropEnv clean;
   using Case = std::pair<std::uint64_t, std::uint64_t>;
-  const auto prop = [](const Case& w) {
-    return layouts_agree(w.first, w.second);
-  };
 
   // Healthy library: the property holds.
+  const auto prop = [](const Case& w) {
+    return pristine_matches_reference(w.first, w.second, /*inject=*/false);
+  };
   EXPECT_FALSE(
-      check<Case>("layout-equivalence", small_world(), prop, quiet(4),
+      check<Case>("pristine-equivalence", small_world(), prop, quiet(4),
                   show_world)
           .has_value());
 
-  // Break the invariant behind the test hook: the harness must catch
-  // it and shrink to the MINIMAL world — n at the generator floor,
-  // seed zeroed (the fault diverges every case, so the zero tape
-  // fails and is the global minimum: the empty canonical tape).
-  FaultScope fault(true);
-  const auto failure = check<Case>("layout-equivalence", small_world(), prop,
-                                   quiet(4), show_world);
+  // Inject a divergence: the harness must catch it and shrink to the
+  // MINIMAL world — n at the generator floor, seed zeroed (the fault
+  // diverges every case, so the zero tape fails and is the global
+  // minimum: the empty canonical tape).
+  const auto broken = [](const Case& w) {
+    return pristine_matches_reference(w.first, w.second, /*inject=*/true);
+  };
+  const auto failure = check<Case>("pristine-equivalence", small_world(),
+                                   broken, quiet(4), show_world);
   ASSERT_TRUE(failure.has_value());
   EXPECT_TRUE(failure->minimal_tape.empty());
   EXPECT_NE(failure->minimal_show.find("world{n=32 seed=0x0}"),
@@ -418,8 +412,8 @@ TEST(PropAcceptance, InjectedLayoutDivergenceCaughtShrunkAndReplayed) {
   std::ostringstream seed_text;
   seed_text << "0x" << std::hex << failure->case_seed;
   const ScopedEnv seed("TG_PROP_SEED", seed_text.str().c_str());
-  const auto replayed = check<Case>("layout-equivalence", small_world(), prop,
-                                    quiet(4), show_world);
+  const auto replayed = check<Case>("pristine-equivalence", small_world(),
+                                    broken, quiet(4), show_world);
   ASSERT_TRUE(replayed.has_value());
   EXPECT_EQ(replayed->report, failure->report);
 }

@@ -1,10 +1,12 @@
-// SoA-vs-legacy layout equivalence: the GroupTable representation
-// toggle (core::set_default_group_layout) must be invisible in every
-// observable — built epochs, red classification, mutation paths
-// (churn, healing), and delivered client traffic — mirroring the net
-// runtime's recycling/pooling toggle contract.  The layout seam is
-// driven through an RAII guard + enumerator, the same shape as the
-// hash-kernel dispatch seams in dispatch_seams.hpp.
+// Epoch construction pins and GroupTable storage properties.
+//
+// The pins are golden FNV-1a digests of everything a built epoch
+// observably holds (memberships, counters, confusion, red sets), for
+// pristine graphs, dual-graph build_next calls, churn + self-heal and
+// the client traffic served over them.  They were recorded before the
+// array-of-structs group layout was deleted, and held under both
+// layouts, so a changed digest means the epoch construction itself
+// changed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,45 +26,44 @@
 namespace tg::core {
 namespace {
 
-/// Saves the process-wide layout default and restores it on
-/// destruction, so an ASSERT failure mid-test cannot leave later
-/// tests pinned to the legacy representation.
-struct LayoutGuard {
-  GroupLayout saved = default_group_layout();
-  ~LayoutGuard() { set_default_group_layout(saved); }
-};
-
-/// Runs `body(layout)` under both representations.
-template <typename Body>
-void for_each_layout(Body&& body) {
-  for (const GroupLayout layout :
-       {GroupLayout::soa, GroupLayout::legacy_aos}) {
-    set_default_group_layout(layout);
-    body(layout);
-  }
-}
-
-/// Layout-independent digest of everything a graph observably holds:
-/// FNV-1a over per-group leader, membership, counters, confusion and
-/// red classification.
-std::uint64_t fingerprint(const GroupGraph& graph) {
+struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
+  void mix(std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
-  };
+  }
+};
+
+/// FNV-1a over per-group leader, membership, counters, confusion and
+/// red classification (bench_scale's epoch fingerprint).
+std::uint64_t fingerprint(const GroupGraph& graph) {
+  Fnv f;
   for (std::size_t i = 0; i < graph.size(); ++i) {
     const GroupView g = graph.group(i);
-    mix(g.leader);
-    mix(g.members.size());
-    for (const auto m : g.members) mix(m);
-    mix(g.bad_members);
-    mix(g.corrupted_slots);
-    mix(g.rejected_slots);
-    mix(g.confused ? 1 : 0);
-    mix(graph.is_red(i) ? 1 : 0);
+    f.mix(g.leader);
+    f.mix(g.members.size());
+    for (const auto m : g.members) f.mix(m);
+    f.mix(g.bad_members);
+    f.mix(g.corrupted_slots);
+    f.mix(g.rejected_slots);
+    f.mix(g.confused ? 1 : 0);
+    f.mix(graph.is_red(i) ? 1 : 0);
   }
-  return h;
+  return f.h;
+}
+
+/// Digest of one build_next call's dual-search ledger.
+std::uint64_t stats_digest(const BuildStats& stats) {
+  Fnv f;
+  f.mix(stats.membership_requests);
+  f.mix(stats.membership_dual_failures);
+  f.mix(stats.membership_rejects);
+  f.mix(stats.neighbor_requests);
+  f.mix(stats.neighbor_dual_failures);
+  f.mix(stats.neighbor_rejects);
+  f.mix(stats.confused_groups);
+  f.mix(stats.bad_groups);
+  return f.h;
 }
 
 GroupGraph build_pristine(std::size_t n, std::uint64_t seed) {
@@ -77,143 +78,114 @@ GroupGraph build_pristine(std::size_t n, std::uint64_t seed) {
   return GroupGraph::pristine(params, pop, oracles.h1);
 }
 
-// ---------- pristine epochs ----------
+// ---------- epoch construction pins ----------
 
-TEST(LayoutEquivalence, PristineEpochByteIdenticalAtTenThousand) {
-  // n = 10^4 is the acceptance floor: large enough that the streaming
-  // builder's cross-leader batching exercises partial tail blocks.
-  LayoutGuard guard;
-  set_default_group_layout(GroupLayout::soa);
-  const GroupGraph soa = build_pristine(10'000, 2024);
-  set_default_group_layout(GroupLayout::legacy_aos);
-  const GroupGraph legacy = build_pristine(10'000, 2024);
-
-  ASSERT_EQ(soa.layout(), GroupLayout::soa);
-  ASSERT_EQ(legacy.layout(), GroupLayout::legacy_aos);
-  ASSERT_EQ(soa.size(), legacy.size());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    const GroupView a = soa.group(i);
-    const GroupView b = legacy.group(i);
-    ASSERT_EQ(a.leader, b.leader) << "group " << i;
-    ASSERT_EQ(a.members, b.members) << "group " << i;
-    ASSERT_EQ(a.bad_members, b.bad_members) << "group " << i;
-    ASSERT_EQ(a.confused, b.confused) << "group " << i;
-    ASSERT_EQ(soa.is_red(i), legacy.is_red(i)) << "group " << i;
-  }
-  EXPECT_EQ(fingerprint(soa), fingerprint(legacy));
-  EXPECT_EQ(soa.red_count(), legacy.red_count());
-  EXPECT_DOUBLE_EQ(soa.bad_fraction(), legacy.bad_fraction());
-  // The slab layout is strictly denser than one heap vector per group.
-  EXPECT_LT(soa.memory_bytes(), legacy.memory_bytes());
-}
-
-// ---------- adversarial epoch construction ----------
-
-TEST(LayoutEquivalence, BuilderEpochAndStatsIdenticalAcrossLayouts) {
-  // build_next runs the full dual-search construction — one shared
-  // decision path whose RNG consumption must not depend on where
-  // members are stored.
-  LayoutGuard guard;
-  Params params;
-  params.n = 2048;
-  params.seed = 99;
-  params.beta = 0.08;
-
-  std::uint64_t g1_print = 0, g2_print = 0;
-  std::size_t dual_failures = 0, rejects = 0, confused = 0, bad_groups = 0;
-  bool first = true;
-  for_each_layout([&](GroupLayout) {
+TEST(Epoch, BuildsArePinned) {
+  // bench_scale's pristine build at n = 10^4, then two dual-graph
+  // build_next calls from the builder's own initial epoch: per call the
+  // g1 and g2 fingerprints and the stats ledger.
+  struct Pins {
+    double beta;
+    std::uint64_t pristine;
+    std::uint64_t next[2][3];  // {g1, g2, stats} per build_next call
+  };
+  const Pins pins[] = {
+      {0.05,
+       0xd2b7d6309ae5a6f4ULL,
+       {{0x46f0feee056c41efULL, 0xe1153a963b96db3dULL, 0xc2aa8a0d4fa0dce3ULL},
+        {0x524dba2768a08879ULL, 0x55a2c55694c8f574ULL,
+         0xc2aa8a0d4fa0dce3ULL}}},
+      {0.2,
+       0x612b527372002a94ULL,
+       {{0x63b5d0038aae7676ULL, 0x1c29102de05312cbULL, 0xb7c90a410bdbdc70ULL},
+        {0x00a91dfc3da01a94ULL, 0x87aeb0fbd8b73664ULL,
+         0xff82a6fa681498a3ULL}}},
+  };
+  for (const Pins& pin : pins) {
+    Params params;
+    params.n = 10'000;
+    params.seed = 2024;
+    params.beta = pin.beta;
+    {
+      Rng rng(params.seed);
+      const auto pop = std::make_shared<const Population>(
+          Population::uniform(params.n, params.beta, rng));
+      const crypto::OracleSuite oracles(params.seed);
+      EXPECT_EQ(fingerprint(GroupGraph::pristine(params, pop, oracles.h1)),
+                pin.pristine)
+          << "beta=" << pin.beta;
+    }
     const EpochBuilder builder(params);
     Rng rng(params.seed);
-    const EpochGraphs epoch0 = builder.initial(rng);
-    BuildStats stats;
-    const EpochGraphs epoch1 = builder.build_next(epoch0, rng, &stats);
-    if (first) {
-      g1_print = fingerprint(*epoch1.g1);
-      g2_print = fingerprint(*epoch1.g2);
-      dual_failures = stats.membership_dual_failures;
-      rejects = stats.membership_rejects;
-      confused = stats.confused_groups;
-      bad_groups = stats.bad_groups;
-      first = false;
-      return;
+    EpochGraphs epoch = builder.initial(rng);
+    for (int step = 0; step < 2; ++step) {
+      BuildStats stats;
+      epoch = builder.build_next(epoch, rng, &stats);
+      EXPECT_EQ(fingerprint(*epoch.g1), pin.next[step][0])
+          << "beta=" << pin.beta << " step " << step;
+      EXPECT_EQ(fingerprint(*epoch.g2), pin.next[step][1])
+          << "beta=" << pin.beta << " step " << step;
+      EXPECT_EQ(stats_digest(stats), pin.next[step][2])
+          << "beta=" << pin.beta << " step " << step;
     }
-    EXPECT_EQ(fingerprint(*epoch1.g1), g1_print);
-    EXPECT_EQ(fingerprint(*epoch1.g2), g2_print);
-    EXPECT_EQ(stats.membership_dual_failures, dual_failures);
-    EXPECT_EQ(stats.membership_rejects, rejects);
-    EXPECT_EQ(stats.confused_groups, confused);
-    EXPECT_EQ(stats.bad_groups, bad_groups);
-  });
+  }
 }
 
-// ---------- mutation paths ----------
-
-TEST(LayoutEquivalence, ChurnAndHealingIdenticalAcrossLayouts) {
+TEST(Epoch, ChurnAndHealingArePinned) {
   // Departures compact spans in place; healing redraws relocate them
-  // to the slab tail.  Both must land on the same epoch as the legacy
-  // per-group vectors.
-  LayoutGuard guard;
-  std::uint64_t expected_print = 0;
-  std::size_t expected_lost = 0, expected_healed = 0;
-  bool first = true;
-  for_each_layout([&](GroupLayout) {
-    Params params;
-    params.n = 1024;
-    params.seed = 7;
-    params.beta = 0.10;
-    Rng rng(params.seed);
-    const auto pop = std::make_shared<const Population>(
-        Population::uniform(params.n, params.beta, rng));
-    const crypto::OracleSuite oracles(params.seed);
-    GroupGraph graph = GroupGraph::pristine(params, pop, oracles.h1);
-    const GroupGraph partner = GroupGraph::pristine(params, pop, oracles.h2);
+  // to the slab tail.
+  Params params;
+  params.n = 1024;
+  params.seed = 7;
+  params.beta = 0.10;
+  Rng rng(params.seed);
+  const auto pop = std::make_shared<const Population>(
+      Population::uniform(params.n, params.beta, rng));
+  const crypto::OracleSuite oracles(params.seed);
+  GroupGraph graph = GroupGraph::pristine(params, pop, oracles.h1);
+  const GroupGraph partner = GroupGraph::pristine(params, pop, oracles.h2);
 
-    Rng churn_rng(11);
-    const ChurnReport churn = apply_good_departures(graph, 0.10, churn_rng);
-    Rng heal_rng(13);
-    const HealReport heal = self_heal_round(graph, partner, oracles.h1,
-                                            /*salt=*/0xFEED, /*probes=*/64,
-                                            heal_rng);
-    if (first) {
-      expected_print = fingerprint(graph);
-      expected_lost = churn.groups_lost_majority;
-      expected_healed = heal.healed;
-      first = false;
-      return;
-    }
-    EXPECT_EQ(fingerprint(graph), expected_print);
-    EXPECT_EQ(churn.groups_lost_majority, expected_lost);
-    EXPECT_EQ(heal.healed, expected_healed);
-  });
+  Rng churn_rng(11);
+  const ChurnReport churn = apply_good_departures(graph, 0.10, churn_rng);
+  Rng heal_rng(13);
+  const HealReport heal = self_heal_round(graph, partner, oracles.h1,
+                                          /*salt=*/0xFEED, /*probes=*/64,
+                                          heal_rng);
+  Fnv f;
+  f.mix(fingerprint(graph));
+  f.mix(churn.groups_lost_majority);
+  f.mix(heal.healed);
+  EXPECT_EQ(f.h, 0x59317e1de5d2aae2ULL);
 }
 
 // ---------- GroupTable representation properties ----------
 
-TEST(LayoutEquivalence, FromGroupsRoundTripsVerbatim) {
-  // Conversion preserves member ORDER (no re-sort): a graph converted
-  // at construction must view back exactly what the vectors held.
-  std::vector<Group> groups(3);
-  groups[0].leader = 0;
-  groups[0].members = {5, 1, 9};  // deliberately unsorted
-  groups[0].bad_members = 1;
-  groups[1].leader = 1;
-  groups[1].members = {};
-  groups[2].leader = 2;
-  groups[2].members = {7};
-  groups[2].confused = true;
-  const GroupTable table = GroupTable::from_groups(groups);
-  ASSERT_EQ(table.size(), groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const GroupId id{static_cast<std::uint32_t>(i)};
-    EXPECT_EQ(table.view(id).members, MemberSpan(groups[i].members));
-    EXPECT_EQ(table.view(id).leader, groups[i].leader);
-    EXPECT_EQ(table.view(id).bad_members, groups[i].bad_members);
-    EXPECT_EQ(table.view(id).confused, groups[i].confused);
+/// Stream `groups` into a table (members must be sorted and unique:
+/// finish_group sorts and dedupes).
+GroupTable table_of(const std::vector<Group>& groups) {
+  GroupTable table;
+  for (const Group& g : groups) {
+    const GroupId id = table.begin_group(static_cast<std::uint32_t>(g.leader));
+    for (const auto m : g.members) table.add_member(m);
+    table.finish_group();
+    table.set_bad_members(id, static_cast<std::uint32_t>(g.bad_members));
+    table.set_confused(id, g.confused);
   }
+  return table;
 }
 
-TEST(LayoutEquivalence, AssignMembersRelocatesWithoutCorruptingNeighbors) {
+TEST(GroupTableStorage, FinishGroupSortsAndDedupes) {
+  GroupTable table;
+  const GroupId id = table.begin_group(4);
+  for (const std::uint32_t m : {9u, 1u, 5u, 1u, 9u}) table.add_member(m);
+  table.finish_group();
+  const std::vector<std::uint32_t> expected{1, 5, 9};
+  EXPECT_EQ(table.members(id), MemberSpan(expected));
+  EXPECT_EQ(table.view(id).leader, 4u);
+  EXPECT_EQ(table.slab_size(), expected.size());
+}
+
+TEST(GroupTableStorage, AssignMembersRelocatesWithoutCorruptingNeighbors) {
   // Growing a group past its span capacity moves it to the slab tail;
   // every other group's membership must read back untouched.
   std::vector<Group> groups(3);
@@ -222,7 +194,7 @@ TEST(LayoutEquivalence, AssignMembersRelocatesWithoutCorruptingNeighbors) {
     groups[i].members = {static_cast<std::uint32_t>(10 * i),
                          static_cast<std::uint32_t>(10 * i + 1)};
   }
-  GroupTable table = GroupTable::from_groups(groups);
+  GroupTable table = table_of(groups);
   const std::vector<std::uint32_t> grown{1, 2, 3, 4, 5, 6};
   table.assign_members(GroupId{std::uint32_t{1}}, grown.data(), grown.size());
   EXPECT_EQ(table.view(GroupId{std::uint32_t{1}}).members, MemberSpan(grown));
@@ -249,7 +221,7 @@ TEST(GroupTableCompaction, CompactReclaimsChurnGapsWithByteIdenticalViews) {
     groups[i].bad_members = i % 3;
     groups[i].confused = (i % 7) == 0;
   }
-  GroupTable table = GroupTable::from_groups(groups);
+  GroupTable table = table_of(groups);
 
   Rng rng(77);
   for (int round = 0; round < 3; ++round) {
@@ -278,8 +250,6 @@ TEST(GroupTableCompaction, CompactReclaimsChurnGapsWithByteIdenticalViews) {
 }
 
 TEST(GroupTableCompaction, GraphCompactStorageIsThresholdGatedAndSafe) {
-  LayoutGuard guard;
-  set_default_group_layout(GroupLayout::soa);
   GroupGraph graph = build_pristine(1024, 31);
   // Freshly built: no dead slab words, so the gate keeps it a no-op.
   EXPECT_EQ(graph.compact_storage(), 0u);
@@ -305,12 +275,9 @@ namespace {
 
 // ---------- delivered traffic ----------
 
-TEST(LayoutEquivalence, ClientTrafficIdenticalAcrossLayoutsAndThreads) {
+TEST(Epoch, ClientTrafficIsPinnedAtOneAndFourThreads) {
   // The workload engine builds its worlds through GroupGraph::pristine,
-  // so a layout-dependent epoch would surface here as a diverging
-  // trace.  Sweep layout x shard width: all four runs must carry
-  // bit-identical traffic.
-  core::LayoutGuard guard;
+  // so an epoch change would surface here as a diverging trace.
   scenario::ScenarioSpec spec;
   spec.adversary = scenario::AdversaryKind::omit_ids;
   spec.topology = scenario::Topology::tinygroups;
@@ -326,24 +293,12 @@ TEST(LayoutEquivalence, ClientTrafficIdenticalAcrossLayoutsAndThreads) {
   spec.workload.rounds = 64;
   spec.workload.timeout_rounds = 24;
 
-  std::uint64_t expected_trace = 0;
-  std::uint64_t expected_completed = 0;
-  bool first = true;
-  core::for_each_layout([&](core::GroupLayout) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const workload::CellTraffic cell =
-          workload::run_traffic_cell(spec, /*with_adversary=*/true, threads);
-      if (first) {
-        expected_trace = cell.trace_hash;
-        expected_completed = cell.recorder.completed;
-        first = false;
-        continue;
-      }
-      EXPECT_EQ(cell.trace_hash, expected_trace);
-      EXPECT_EQ(cell.recorder.completed, expected_completed);
-    }
-  });
-  EXPECT_GT(expected_completed, 0u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const workload::CellTraffic cell =
+        workload::run_traffic_cell(spec, /*with_adversary=*/true, threads);
+    EXPECT_EQ(cell.trace_hash, 0x653a03f2aabe410cULL) << threads;
+    EXPECT_EQ(cell.recorder.completed, 374u) << threads;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Scenario campaign engine: registry lookup, grid expansion, seed
-// determinism, and route_outbox batching equivalence.
+// determinism, and route_outbox under an active delivery policy.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -211,13 +211,12 @@ TEST(ScenarioCampaign, ReportEmitsOneRowPerMetricPlusSummary) {
 }
 
 // ---------------------------------------------------------------------------
-// route_outbox batching equivalence
+// route_outbox under an active delivery policy
 // ---------------------------------------------------------------------------
 
 /// Deterministic chatter: every node fans out each round; some
 /// payloads vary with received traffic so corruption/drops propagate
-/// into later sends (any divergence between the two routing paths
-/// amplifies into the trace hash).
+/// into later sends (any divergence amplifies into the trace hash).
 class EchoNode final : public net::Node {
  public:
   explicit EchoNode(std::size_t n) : n_(n) {}
@@ -244,8 +243,7 @@ class EchoNode final : public net::Node {
   std::uint64_t state_ = 1;
 };
 
-net::NetworkStats run_chatter(bool recycle, std::uint64_t* trace,
-                              std::size_t threads) {
+net::NetworkStats run_chatter(std::uint64_t* trace, std::size_t threads) {
   constexpr std::size_t kNodes = 24;
   constexpr std::size_t kRounds = 40;
   net::DeliveryPolicy policy;
@@ -254,8 +252,6 @@ net::NetworkStats run_chatter(bool recycle, std::uint64_t* trace,
   policy.byzantine.assign(kNodes, 0);
   policy.byzantine[3] = policy.byzantine[11] = 1;
   net::Network network(policy, /*seed=*/1234, threads);
-  network.set_buffer_recycling(recycle);
-  EXPECT_EQ(network.buffer_recycling(), recycle);
   for (std::size_t i = 0; i < kNodes; ++i) {
     network.add_node(std::make_unique<EchoNode>(kNodes));
   }
@@ -265,70 +261,24 @@ net::NetworkStats run_chatter(bool recycle, std::uint64_t* trace,
   return network.stats();
 }
 
-TEST(RouteOutboxBatching, RecycledPathMatchesLegacyPathExactly) {
-  std::uint64_t legacy_trace = 0;
-  std::uint64_t batched_trace = 0;
-  const auto legacy = run_chatter(false, &legacy_trace, 1);
-  const auto batched = run_chatter(true, &batched_trace, 1);
+TEST(RouteOutbox, PolicyTrafficIsThreadCountInvariant) {
+  std::uint64_t t1 = 0;
+  std::uint64_t t8 = 0;
+  const auto one = run_chatter(&t1, 1);
+  const auto eight = run_chatter(&t8, 8);
 
   // Byte-identical delivered traffic: same trace hash (covers source,
   // destination, tag, round and every payload word of every delivered
   // message in order) and identical ledger.
-  EXPECT_EQ(legacy_trace, batched_trace);
-  EXPECT_EQ(legacy.sent, batched.sent);
-  EXPECT_EQ(legacy.delivered, batched.delivered);
-  EXPECT_EQ(legacy.dropped, batched.dropped);
-  EXPECT_EQ(legacy.delayed, batched.delayed);
-  EXPECT_EQ(legacy.corrupted, batched.corrupted);
-  EXPECT_GT(legacy.delivered, 0u);
-  EXPECT_GT(legacy.dropped, 0u);    // the policy actually engaged
-  EXPECT_GT(legacy.delayed, 0u);
-}
-
-TEST(RouteOutboxBatching, RecyclingIsThreadCountInvariant) {
-  std::uint64_t t1 = 0;
-  std::uint64_t t8 = 0;
-  (void)run_chatter(true, &t1, 1);
-  (void)run_chatter(true, &t8, 8);
   EXPECT_EQ(t1, t8);
-}
-
-TEST(RouteOutboxBatching, RoundLoopBenchmarkVerifiesEquivalence) {
-  bench::JsonReporter reporter("roundloop_test");
-  // Tiny sizes: this asserts the legacy/batched/pooled runs deliver
-  // identical traffic (the helper throws otherwise) and emits the
-  // three ns_per_op rows plus the two speedup rows.
-  scenario::append_round_loop_benchmark(reporter, /*nodes=*/16, /*fanout=*/2,
-                                        /*rounds=*/8);
-  EXPECT_EQ(reporter.rows(), 5u);
-}
-
-TEST(RouteOutboxBatching, ChatterRoundLoopTraceIgnoresStorageToggles) {
-  // The chatter trace must be a pure function of the traffic shape:
-  // all four storage configurations (recycling x pooling) deliver
-  // byte-identical messages, with payloads both inline and spilled.
-  for (const std::size_t payload_words : {std::size_t{2}, std::size_t{11}}) {
-    scenario::RoundLoopConfig config;
-    config.nodes = 12;
-    config.fanout = 2;
-    config.rounds = 10;
-    config.payload_words = payload_words;
-    std::uint64_t reference = 0;
-    for (const bool recycle : {false, true}) {
-      for (const bool pool : {false, true}) {
-        config.recycle_buffers = recycle;
-        config.pool_payloads = pool;
-        const auto run = scenario::run_chatter_round_loop(config);
-        if (reference == 0) reference = run.trace_hash;
-        EXPECT_EQ(run.trace_hash, reference)
-            << "payload_words=" << payload_words << " recycle=" << recycle
-            << " pool=" << pool;
-        if (pool && payload_words > net::Words::kInlineCapacity) {
-          EXPECT_GT(run.arena_allocated, 0u);
-        }
-      }
-    }
-  }
+  EXPECT_EQ(one.sent, eight.sent);
+  EXPECT_EQ(one.delivered, eight.delivered);
+  EXPECT_EQ(one.dropped, eight.dropped);
+  EXPECT_EQ(one.delayed, eight.delayed);
+  EXPECT_EQ(one.corrupted, eight.corrupted);
+  EXPECT_GT(one.delivered, 0u);
+  EXPECT_GT(one.dropped, 0u);    // the policy actually engaged
+  EXPECT_GT(one.delayed, 0u);
 }
 
 }  // namespace

@@ -150,16 +150,16 @@ TEST(Telemetry, ExportedSpanPhasesAppearInCanonicalOrder) {
 
 TEST(Telemetry, StableExportOmitsUnstableProbes) {
   Session s;
-  s.count(Probe::net_arena_recycled, 17);
+  s.count(Probe::net_rounds, 17);
   s.sample_peak_rss();
 
   const std::string stable = s.metrics_json();
-  EXPECT_EQ(stable.find("net.arena.recycled"), std::string::npos);
+  EXPECT_NE(stable.find("net.rounds"), std::string::npos);
   EXPECT_EQ(stable.find("process.peak_rss_bytes"), std::string::npos);
   EXPECT_EQ(stable.find("telemetry.trace.dropped"), std::string::npos);
 
   const std::string full = s.metrics_json(/*include_unstable=*/true);
-  EXPECT_NE(full.find("net.arena.recycled"), std::string::npos);
+  EXPECT_NE(full.find("net.rounds"), std::string::npos);
   EXPECT_NE(full.find("process.peak_rss_bytes"), std::string::npos);
   EXPECT_NE(full.find("telemetry.trace.dropped"), std::string::npos);
 }

@@ -21,7 +21,7 @@ namespace {
 
 using namespace tg;
 using workload::KvService;
-using workload::LatencyHistogram;
+using telemetry::LogHistogram;
 using workload::LookupService;
 using workload::Recorder;
 using workload::World;
@@ -30,42 +30,42 @@ using workload::World;
 // Histogram
 // ---------------------------------------------------------------------------
 
-TEST(LatencyHistogram, SmallValuesAreExact) {
+TEST(LogHistogram, SmallValuesAreExact) {
   // Below the overflow threshold every value owns its own bucket.
-  for (std::uint64_t v = 0; v < LatencyHistogram::overflow_threshold(); ++v) {
-    const std::size_t index = LatencyHistogram::bucket_index(v);
-    EXPECT_EQ(LatencyHistogram::bucket_lower_bound(index), v) << v;
-    EXPECT_EQ(LatencyHistogram::bucket_upper_bound(index), v) << v;
+  for (std::uint64_t v = 0; v < LogHistogram::overflow_threshold(); ++v) {
+    const std::size_t index = LogHistogram::bucket_index(v);
+    EXPECT_EQ(LogHistogram::bucket_lower_bound(index), v) << v;
+    EXPECT_EQ(LogHistogram::bucket_upper_bound(index), v) << v;
   }
 }
 
-TEST(LatencyHistogram, BucketBoundariesBracketEveryValue) {
+TEST(LogHistogram, BucketBoundariesBracketEveryValue) {
   const std::uint64_t probes[] = {
       0,   1,   15,  16,  31,  32,  33,  63,  64,   100,  1000, 4095, 4096,
       1ull << 20, (1ull << 20) + 17, 1ull << 40, ~std::uint64_t{0} - 1,
       ~std::uint64_t{0}};
   for (const std::uint64_t v : probes) {
-    const std::size_t index = LatencyHistogram::bucket_index(v);
-    ASSERT_LT(index, LatencyHistogram::kBuckets) << v;
-    EXPECT_LE(LatencyHistogram::bucket_lower_bound(index), v) << v;
-    EXPECT_GE(LatencyHistogram::bucket_upper_bound(index), v) << v;
+    const std::size_t index = LogHistogram::bucket_index(v);
+    ASSERT_LT(index, LogHistogram::kBuckets) << v;
+    EXPECT_LE(LogHistogram::bucket_lower_bound(index), v) << v;
+    EXPECT_GE(LogHistogram::bucket_upper_bound(index), v) << v;
     // Buckets tile the axis: the next bucket starts right after.
-    if (index + 1 < LatencyHistogram::kBuckets) {
-      EXPECT_EQ(LatencyHistogram::bucket_lower_bound(index + 1),
-                LatencyHistogram::bucket_upper_bound(index) + 1)
+    if (index + 1 < LogHistogram::kBuckets) {
+      EXPECT_EQ(LogHistogram::bucket_lower_bound(index + 1),
+                LogHistogram::bucket_upper_bound(index) + 1)
           << v;
     }
     // Bounded relative error: bucket width <= value / kSubBuckets + 1.
     const double width =
-        static_cast<double>(LatencyHistogram::bucket_upper_bound(index) -
-                            LatencyHistogram::bucket_lower_bound(index));
-    EXPECT_LE(width, static_cast<double>(v) / LatencyHistogram::kSubBuckets + 1)
+        static_cast<double>(LogHistogram::bucket_upper_bound(index) -
+                            LogHistogram::bucket_lower_bound(index));
+    EXPECT_LE(width, static_cast<double>(v) / LogHistogram::kSubBuckets + 1)
         << v;
   }
 }
 
-TEST(LatencyHistogram, QuantilesOfKnownSequence) {
-  LatencyHistogram h;
+TEST(LogHistogram, QuantilesOfKnownSequence) {
+  LogHistogram h;
   for (std::uint64_t v = 1; v <= 100; ++v) h.record(v);
   EXPECT_EQ(h.count(), 100u);
   EXPECT_EQ(h.min(), 1u);
@@ -78,8 +78,8 @@ TEST(LatencyHistogram, QuantilesOfKnownSequence) {
   EXPECT_EQ(h.value_at_quantile(1.0), 100u);
 }
 
-TEST(LatencyHistogram, EmptyAndOverflowEdges) {
-  LatencyHistogram h;
+TEST(LogHistogram, EmptyAndOverflowEdges) {
+  LogHistogram h;
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.min(), 0u);
@@ -93,12 +93,12 @@ TEST(LatencyHistogram, EmptyAndOverflowEdges) {
   // The top bucket clamps to the recorded max, not the bucket bound.
   EXPECT_EQ(h.value_at_quantile(1.0), ~std::uint64_t{0});
 
-  LatencyHistogram zero_counts;
+  LogHistogram zero_counts;
   zero_counts.record(7, 0);  // zero-count record is a no-op
   EXPECT_TRUE(zero_counts.empty());
 }
 
-TEST(LatencyHistogram, ShardMergeIsOrderAndShardCountInvariant) {
+TEST(LogHistogram, ShardMergeIsOrderAndShardCountInvariant) {
   // The determinism contract behind parallel recording: counts are
   // integers, so ANY shard split, merged in ANY order, reproduces the
   // reference percentiles bit-for-bit.
@@ -106,17 +106,17 @@ TEST(LatencyHistogram, ShardMergeIsOrderAndShardCountInvariant) {
   std::vector<std::uint64_t> values(10000);
   for (auto& v : values) v = rng.below(1u << 20);
 
-  LatencyHistogram reference;
+  LogHistogram reference;
   for (const auto v : values) reference.record(v);
 
   for (const std::size_t shards : {1u, 2u, 3u, 7u, 16u}) {
-    std::vector<LatencyHistogram> shard_hists(shards);
+    std::vector<LogHistogram> shard_hists(shards);
     for (std::size_t i = 0; i < values.size(); ++i) {
       shard_hists[i % shards].record(values[i]);
     }
-    LatencyHistogram forward;
+    LogHistogram forward;
     for (const auto& h : shard_hists) forward.merge(h);
-    LatencyHistogram backward;
+    LogHistogram backward;
     for (auto it = shard_hists.rbegin(); it != shard_hists.rend(); ++it) {
       backward.merge(*it);
     }
@@ -226,28 +226,29 @@ TEST(WorkloadEngine, ClosedLoopBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(t1.completed, 0u);
 }
 
-TEST(WorkloadEngine, StorageTogglesAreInvisibleInTraffic) {
-  // The engine inherits the net runtime's equivalence contract: the
-  // pooled and seed allocation paths carry byte-identical traffic.
+TEST(WorkloadEngine, KvTrafficIsPinned) {
+  // Recorded while the network still had switchable buffer recycling
+  // and pooled payload storage; all four combinations gave these pins,
+  // with padding inline (4 words) and spilled (12 words).
   const auto spec = small_traffic_spec(scenario::WorkloadAxis::Service::kv,
                                        scenario::WorkloadAxis::Loop::open);
-  Rng rng_a(31);
-  Rng rng_b(31);
-  const World world_a = workload::world_for_trial(spec, false, rng_a);
-  const World world_b = workload::world_for_trial(spec, false, rng_b);
-  const auto svc_a = workload::make_service(spec.workload.service, world_a,
-                                            128, rng_a());
-  const auto svc_b = workload::make_service(spec.workload.service, world_b,
-                                            128, rng_b());
-  workload::Spec pooled = workload::engine_spec(spec, false);
-  workload::Spec legacy = pooled;
-  legacy.recycle_buffers = false;
-  legacy.pool_payloads = false;
-  const auto a = workload::run(*svc_a, pooled, 77, 1);
-  const auto b = workload::run(*svc_b, legacy, 77, 1);
-  EXPECT_EQ(a.trace_hash, b.trace_hash);
-  EXPECT_EQ(a.recorder.completed, b.recorder.completed);
-  EXPECT_EQ(a.net.delivered, b.net.delivered);
+  struct Pin {
+    std::size_t padding;
+    std::uint64_t trace;
+  };
+  for (const Pin pin : {Pin{4, 0xee64938e2c9961b0ULL},
+                        Pin{12, 0xb42b50e57befe803ULL}}) {
+    Rng rng(31);
+    const World world = workload::world_for_trial(spec, false, rng);
+    const auto svc =
+        workload::make_service(spec.workload.service, world, 128, rng());
+    workload::Spec engine = workload::engine_spec(spec, false);
+    engine.padding_words = pin.padding;
+    const auto run = workload::run(*svc, engine, 77, 1);
+    EXPECT_EQ(run.trace_hash, pin.trace) << pin.padding;
+    EXPECT_EQ(run.recorder.completed, 117u) << pin.padding;
+    EXPECT_EQ(run.net.delivered, 825u) << pin.padding;
+  }
 }
 
 TEST(WorkloadEngine, AdversaryCellTrafficBitIdenticalAcrossShardCounts) {

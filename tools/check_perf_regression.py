@@ -1,40 +1,50 @@
 #!/usr/bin/env python3
 """Guard the perf trajectory: fail on a throughput regression.
 
-Compares two BENCH_*.json files (schema 1).  Default mode is
-HARDWARE-NORMALIZED: the benches emit each optimized metric `X`
-alongside a frozen-seed-implementation row `X_seed_baseline` measured
-in the same process, so the speedup ratio
+Compares two BENCH_*.json files (schema 1).  A row is GUARDED when it
+carries `ops_per_sec`; each guarded row gets a score, and a row
+regresses when the CURRENT file's score falls more than --threshold
+(default 0.25 = 25%) below the BASELINE file's score.
 
-    speedup(X) = ops_per_sec(X) / ops_per_sec(X_seed_baseline)
+Default mode is HARDWARE-NORMALIZED.  Every perf bench times a frozen
+calibration kernel (bench/bench_common.hpp: one scalar SHA-256
+compression plus a fixed dependent pointer chase over a buffer larger
+than L2) and records it as `meta.calibration_ns`.  A row with
+`ns_per_op` scores
 
-cancels out the machine.  A metric regresses when the CURRENT file's
-speedup falls more than --threshold (default 0.25 = 25%) below the
-BASELINE file's speedup — i.e. the code lost part of its optimization
-win, regardless of which box either file was recorded on.
+    score(X) = meta.calibration_ns / ns_per_op(X)
 
---absolute instead compares raw ops_per_sec between the files (only
-meaningful when both were produced on the same machine).  Rows without
-the needed fields are skipped.
+— how many kernel ops fit in one of X's — so a uniformly faster or
+slower machine cancels out.  A timed row (`ns_per_op` and
+`ops_per_sec`) in a file without `meta.calibration_ns` is an error.
 
-A metric that the BASELINE tracks but the CURRENT run no longer emits
+A row with `ops_per_sec` but no `ns_per_op` is compared RAW: the
+faults and telemetry guard rows store deterministic, machine-free
+rates (goodput per round, trace events per round) in that slot, so
+their comparison is exact.  A row without `ops_per_sec` (e.g. a probe
+too short to time stably) is not guarded.
+
+--absolute instead compares raw ops_per_sec for every guarded row
+(only meaningful when both files were produced on the same machine).
+
+A metric that the BASELINE guards but the CURRENT run no longer emits
 is an error in its own right (a silently dropped bench is how a perf
 guard rots): it fails with the missing names listed.  Pass
 --allow-missing to tolerate it (e.g. comparing a full baseline against
 one bench's partial output).
 
-Hardware normalization cancels clock speed but NOT instruction sets:
-benches record the hash-kernel dispatch they ran under in the file's
-"meta" object (meta.hash_kernel, e.g. "avx512x16+sha-ni"), and a
-runner without the baseline's top tier legitimately shows smaller
-speedups-vs-seed on hash-bound rows.  When the two files disagree on
-meta.hash_kernel, regressions on rows whose name matches
---kernel-sensitive (default: sha256 / oracle / pow / crypto rows) are
-therefore reported as WARNINGS, while every other row — executor,
-trial-runner, net — stays fully enforced.  Pass --strict-kernel to
-enforce the hash-bound rows anyway (same-fleet runners where a kernel
-change is itself the regression).  Matching kernels (or files without
-meta) enforce everything.
+Normalization cancels clock speed but NOT instruction sets: the
+calibration kernel is scalar, while hash-bound rows run whatever
+kernel the dispatch picked.  Benches record that dispatch in
+"meta.hash_kernel" (e.g. "avx512x16+sha-ni"), and a runner without the
+baseline's top tier legitimately scores lower on hash-bound rows.
+When the two files disagree on meta.hash_kernel, regressions on rows
+whose name matches --kernel-sensitive (default: sha256 / oracle / pow
+/ crypto rows) are therefore reported as WARNINGS, while every other
+row stays fully enforced.  Pass --strict-kernel to enforce the
+hash-bound rows anyway (same-fleet runners where a kernel change is
+itself the regression).  Matching kernels (or files without the key)
+enforce everything.
 
 Usage:
   check_perf_regression.py BASELINE CURRENT [--threshold 0.25]
@@ -46,6 +56,10 @@ import argparse
 import json
 import re
 import sys
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_doc(path):
@@ -77,29 +91,30 @@ def load_doc(path):
         if isinstance(name, str):
             rows[name] = row
     meta = doc.get("meta")
-    kernel = meta.get("hash_kernel") if isinstance(meta, dict) else None
-    return rows, kernel
+    if not isinstance(meta, dict):
+        meta = {}
+    return rows, meta
 
 
-def normalized_speedups(rows):
-    """Map metric -> ops(X)/ops(X_seed_baseline) for self-normalizing rows."""
-    out = {}
+def guarded_scores(path, rows, meta, absolute):
+    """Map each guarded row name -> its score (see the module doc)."""
+    calibration = meta.get("calibration_ns")
+    scores = {}
     for name, row in rows.items():
-        if name.endswith("_seed_baseline"):
-            continue
-        seed_row = rows.get(name + "_seed_baseline")
-        if seed_row is None:
-            continue
         ops = row.get("ops_per_sec")
-        seed_ops = seed_row.get("ops_per_sec")
-        if ops and seed_ops:
-            out[name] = ops / seed_ops
-    return out
-
-
-def absolute_throughputs(rows):
-    return {name: row["ops_per_sec"] for name, row in rows.items()
-            if isinstance(row.get("ops_per_sec"), (int, float))}
+        if not is_number(ops) or ops <= 0:
+            continue
+        ns = row.get("ns_per_op")
+        if absolute or not is_number(ns):
+            scores[name] = ops
+            continue
+        if not is_number(calibration) or calibration <= 0:
+            sys.exit(f"bench file {path} has timed row {name!r} but no "
+                     f"positive meta.calibration_ns to normalize it by; "
+                     f"regenerate it with a bench that records the "
+                     f"calibration kernel")
+        scores[name] = calibration / ns
+    return scores
 
 
 def main():
@@ -118,13 +133,15 @@ def main():
                              "dispatches")
     parser.add_argument("--kernel-sensitive",
                         default=r"sha256|oracle|pow|crypto",
-                        help="regex naming the rows whose speedup depends on "
+                        help="regex naming the rows whose score depends on "
                              "the hash-kernel dispatch (waived on kernel "
                              "mismatch; default: %(default)s)")
     args = parser.parse_args()
 
-    baseline_rows, baseline_kernel = load_doc(args.baseline)
-    current_rows, current_kernel = load_doc(args.current)
+    baseline_rows, baseline_meta = load_doc(args.baseline)
+    current_rows, current_meta = load_doc(args.current)
+    baseline_kernel = baseline_meta.get("hash_kernel")
+    current_kernel = current_meta.get("hash_kernel")
 
     kernel_mismatch = (baseline_kernel != current_kernel
                        and baseline_kernel is not None
@@ -133,15 +150,16 @@ def main():
         print(f"hash kernel: baseline={baseline_kernel or '(unrecorded)'} "
               f"current={current_kernel or '(unrecorded)'}"
               + ("  <-- DIFFERENT DISPATCH" if kernel_mismatch else ""))
+    if not args.absolute:
+        print(f"calibration_ns: baseline="
+              f"{baseline_meta.get('calibration_ns', '(unrecorded)')} "
+              f"current={current_meta.get('calibration_ns', '(unrecorded)')}")
 
-    if args.absolute:
-        label = "ops_per_sec"
-        baseline = absolute_throughputs(baseline_rows)
-        current = absolute_throughputs(current_rows)
-    else:
-        label = "speedup-vs-seed"
-        baseline = normalized_speedups(baseline_rows)
-        current = normalized_speedups(current_rows)
+    label = "ops_per_sec" if args.absolute else "score"
+    baseline = guarded_scores(args.baseline, baseline_rows, baseline_meta,
+                              args.absolute)
+    current = guarded_scores(args.current, current_rows, current_meta,
+                             args.absolute)
 
     missing = sorted(name for name in baseline if name not in current)
     if missing and not args.allow_missing:
@@ -150,10 +168,9 @@ def main():
               f"({args.current}):", file=sys.stderr)
         for name in missing:
             print(f"  {name}", file=sys.stderr)
-        print("Did a bench stop emitting a row (or its _seed_baseline "
-              "companion)?  Regenerate the baseline if the removal is "
-              "intentional, or pass --allow-missing for a partial "
-              "comparison.", file=sys.stderr)
+        print("Did a bench stop emitting a row?  Regenerate the baseline "
+              "if the removal is intentional, or pass --allow-missing for "
+              "a partial comparison.", file=sys.stderr)
         return 1
 
     compared = 0
