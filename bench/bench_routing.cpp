@@ -1,24 +1,27 @@
 // bench_routing — the routing engine's perf trajectory
 // (BENCH_routing.json).
 //
-// Measures every overlay's single-route and batched route evaluation
-// over the epoch-resident RoutingIndex:
+// Measures every overlay's single-route and batched route evaluation,
+// with successors resolved through the RingTable's grid and, for
+// Chord, Chord++ and Viceroy, the overlay's finger rows built before
+// timing:
 //
 //   route_<overlay>_n<N>       ns per route into warm caller-owned
 //                              scratch
-//   route_many_<overlay>_n<N>  ns per route through route_many (index
-//                              resolved once per batch)
+//   route_many_<overlay>_n<N>  ns per route through route_many
 //
 // Each row keeps the faster of two timing passes over all overlays.
 // CI's regression guard scores every row against the run's
 // meta.calibration_ns (the frozen calibration kernel in
 // bench_common.hpp).  Before ANY number is reported for an overlay, a
 // probe sweep asserts that every route succeeds and ends at the key's
-// successor, and steady-state routing into warm caller-owned scratch is
-// asserted to perform ZERO heap allocations, via this binary's global
-// operator new/delete counters.
+// successor, found by a std::lower_bound over the IDs here rather than
+// by the grid under test, and steady-state routing into warm
+// caller-owned scratch is asserted to perform ZERO heap allocations,
+// via this binary's global operator new/delete counters.
 //
 //   bench_routing [--fast] [--out DIR]
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -91,13 +94,16 @@ constexpr std::size_t kQueryPool = 256;     // cycled by the timed loops
 /// on the first that does not.
 void assert_routes_resolve(const overlay::InputGraph& graph, std::size_t n,
                            std::uint64_t seed) {
+  const std::vector<ids::RingPoint>& ids = graph.table().points();
   Rng rng(seed);
   for (std::size_t i = 0; i < kProbeRoutes; ++i) {
     const std::size_t start = rng.below(n);
     const ids::RingPoint key{rng.u64()};
+    const auto suc = std::lower_bound(ids.begin(), ids.end(), key);
+    const std::size_t expected =
+        suc == ids.end() ? 0 : static_cast<std::size_t>(suc - ids.begin());
     const overlay::Route r = graph.route(start, key);
-    if (!r.ok || r.path.front() != start ||
-        r.path.back() != graph.table().successor_index(key)) {
+    if (!r.ok || r.path.front() != start || r.path.back() != expected) {
       throw std::logic_error(std::string("route failed to resolve: ") +
                              std::string(graph.name()) + " n=" +
                              std::to_string(n) + " probe " +
@@ -134,8 +140,7 @@ double measure_route_ns(const overlay::InputGraph& graph,
       min_seconds);
 }
 
-/// ns per route through route_many (index resolved once per batch),
-/// reusing one warm output vector.
+/// ns per route through route_many, reusing one warm output vector.
 double measure_batch_ns(const overlay::InputGraph& graph,
                         const std::vector<overlay::RouteQuery>& queries,
                         double min_seconds) {
@@ -188,9 +193,9 @@ int main(int argc, char** argv) {
   }
 
   bench::banner(
-      "routing engine: epoch-resident index",
-      "materialized finger rows + successor grid route every overlay "
-      "with an allocation-free steady state");
+      "routing engine",
+      "the table's successor grid + built-once finger rows route every "
+      "overlay with an allocation-free steady state");
 
   const std::vector<std::size_t> sizes =
       fast ? std::vector<std::size_t>{1'000, 10'000}
@@ -201,7 +206,7 @@ int main(int argc, char** argv) {
   bench::record_calibration(reporter);
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   Table t({"overlay", "n", "ns/route", "batch ns/route"});
-  t.set_title("route evaluation over the routing index");
+  t.set_title("route evaluation");
 
   // Build every (n, overlay) once, then time them in two passes over
   // the whole set, the second in reverse order: each row keeps its
@@ -226,7 +231,7 @@ int main(int argc, char** argv) {
       Case c{n, std::string(overlay::kind_slug(kind)),
              overlay::make_overlay(kind, table),
              make_queries(n, /*seed=*/0xC0FFEE + n)};
-      (void)c.graph->index();  // build outside the timed window
+      c.graph->prepare_rows();  // build outside the timed window
       assert_routes_resolve(*c.graph, n, /*seed=*/0x51DE + n);
       const std::uint64_t steady =
           steady_state_allocations(*c.graph, c.queries);

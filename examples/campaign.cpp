@@ -16,6 +16,8 @@
 // workload engine (src/workload/) drives the service's ops over the
 // cell's adversary x topology world and the JSON rows carry latency
 // percentiles / throughput / loss instead of the analytic metrics.
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -35,10 +37,11 @@ void usage(const char* argv0) {
       << "                   campaign tag equals STR (static|dynamic|pow)\n"
       << "  --trials N       override Monte-Carlo trials per cell\n"
       << "  --seed S         override the experiment seed\n"
-      << "  --n N            override the system size (any N, including far\n"
-      << "                   above the registry defaults; the estimated\n"
-      << "                   per-world memory is printed up front and the\n"
-      << "                   run refuses to start when it cannot fit)\n"
+      << "  --n N            override the system size (any whole N >= 1,\n"
+      << "                   including far above the registry defaults;\n"
+      << "                   the estimated per-world memory is printed up\n"
+      << "                   front and the run refuses to start when it\n"
+      << "                   cannot fit)\n"
       << "  --beta B         override the adversarial fraction\n"
       << "  --threads T      trial fan-out width.  Per-trial values are\n"
       << "                   scheduling-independent, but aggregated stats\n"
@@ -143,7 +146,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       options.seed_override = std::strtoull(next().c_str(), nullptr, 10);
     } else if (arg == "--n") {
-      options.n_override = std::strtoull(next().c_str(), nullptr, 10);
+      const std::string value = next();
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+      const bool whole = std::isdigit(static_cast<unsigned char>(value[0])) &&
+                         *end == '\0' && errno != ERANGE;
+      if (!whole || n == 0) {
+        std::cerr << "--n needs a whole positive integer, got '" << value
+                  << "'\n";
+        return 2;
+      }
+      options.n_override = n;
     } else if (arg == "--beta") {
       options.beta_override = std::strtod(next().c_str(), nullptr);
     } else if (arg == "--threads") {

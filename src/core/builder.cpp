@@ -220,6 +220,11 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
 
 EpochGraphs EpochBuilder::build_next(const EpochGraphs& old, Rng& rng,
                                      BuildStats* stats) const {
+  // Every search of this build routes over the old topology.  Build its
+  // finger rows now, from the calling thread and before any table of
+  // the new epoch: allocated first, they take back the storage the
+  // previous epoch's rows freed instead of a hole a new table needs.
+  old.g1->topology().prepare_rows();
   EpochGraphs out;
   // Theta(n) size variation: grow/shrink by the configured factor,
   // clamped to a constant factor of the design size n.

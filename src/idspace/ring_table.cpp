@@ -1,13 +1,35 @@
 #include "idspace/ring_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace tg::ids {
 
+int bits_for_size(std::size_t m) noexcept {
+  if (m <= 1) return 1;
+  return std::bit_width(m - 1);
+}
+
 RingTable::RingTable(std::vector<RingPoint> points) : points_(std::move(points)) {
   std::sort(points_.begin(), points_.end());
   points_.erase(std::unique(points_.begin(), points_.end()), points_.end());
+  n_ = points_.size();
+  // Grid resolution: 2-4 buckets per ID keeps a bucket's expected
+  // population under one; capped so the grid never dwarfs the table.
+  const int bits = std::min(bits_for_size(points_.size()) + 1, 26);
+  shift_ = 64 - bits;
+  const std::size_t buckets = std::size_t{1} << bits;
+  grid_.resize(buckets + 1);
+  // One merged pass over buckets and IDs: bucket b gets the index of
+  // the first ID >= b * 2^shift_ (its left corner).
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::uint64_t corner = static_cast<std::uint64_t>(b) << shift_;
+    while (i < points_.size() && points_[i].raw() < corner) ++i;
+    grid_[b] = static_cast<std::uint32_t>(i);
+  }
+  grid_[buckets] = static_cast<std::uint32_t>(points_.size());
 }
 
 RingTable RingTable::uniform(std::size_t n, Rng& rng) {
@@ -15,38 +37,29 @@ RingTable RingTable::uniform(std::size_t n, Rng& rng) {
   pts.reserve(n);
   for (std::size_t i = 0; i < n; ++i) pts.emplace_back(rng.u64());
   RingTable table(std::move(pts));
-  // Regenerate on the (astronomically unlikely) collision.
+  // Top up after the (astronomically unlikely) collision: each pass
+  // draws one ID per missing slot and rebuilds, so drawing stops at
+  // the first draw that completes n distinct IDs.
   while (table.size() < n) {
-    table.insert(RingPoint{rng.u64()});
+    pts = table.points_;
+    while (pts.size() < n) pts.emplace_back(rng.u64());
+    table = RingTable(std::move(pts));
   }
   return table;
 }
 
-std::size_t RingTable::successor_index(RingPoint x) const {
-  const auto it = std::lower_bound(points_.begin(), points_.end(), x);
-  if (it == points_.end()) return 0;  // wrap to the smallest ID
-  return static_cast<std::size_t>(it - points_.begin());
-}
-
-RingPoint RingTable::successor(RingPoint x) const {
-  return points_[successor_index(x)];
-}
-
 RingPoint RingTable::predecessor(RingPoint x) const {
-  const auto it = std::lower_bound(points_.begin(), points_.end(), x);
-  if (it == points_.begin()) return points_.back();
-  return *(it - 1);
+  const std::size_t n = points_.size();
+  return points_[(rank(x) + n - 1) % n];
 }
 
-bool RingTable::contains(RingPoint x) const {
-  return std::binary_search(points_.begin(), points_.end(), x);
+bool RingTable::contains(RingPoint x) const noexcept {
+  return index_of(x).has_value();
 }
 
-std::optional<std::size_t> RingTable::index_of(RingPoint x) const {
-  const auto it = std::lower_bound(points_.begin(), points_.end(), x);
-  if (it != points_.end() && *it == x) {
-    return static_cast<std::size_t>(it - points_.begin());
-  }
+std::optional<std::size_t> RingTable::index_of(RingPoint x) const noexcept {
+  const std::size_t r = rank(x);
+  if (r < points_.size() && points_[r] == x) return r;
   return std::nullopt;
 }
 
@@ -64,13 +77,9 @@ std::vector<std::size_t> RingTable::indices_in(const Arc& arc) const {
 
 std::size_t RingTable::count_in(const Arc& arc) const {
   if (points_.empty() || arc.empty()) return 0;
-  // Count members in [start, end) via two binary searches, handling wrap.
+  // Count members in [start, end) as a difference of ranks, handling wrap.
   const RingPoint lo = arc.start();
   const RingPoint hi = arc.end();
-  const auto rank = [this](RingPoint p) {
-    return static_cast<std::size_t>(
-        std::lower_bound(points_.begin(), points_.end(), p) - points_.begin());
-  };
   if (lo < hi || arc.length() == 0) {
     return rank(hi) - rank(lo);
   }
@@ -86,21 +95,6 @@ Arc RingTable::responsibility_arc(std::size_t i) const {
   // starting just after pred.
   const RingPoint open_start = pred.advanced(1);
   return Arc::between(open_start, me.advanced(1));
-}
-
-void RingTable::insert(RingPoint x) {
-  const auto it = std::lower_bound(points_.begin(), points_.end(), x);
-  if (it != points_.end() && *it == x) return;
-  points_.insert(it, x);
-  ++version_;
-}
-
-void RingTable::erase(RingPoint x) {
-  const auto it = std::lower_bound(points_.begin(), points_.end(), x);
-  if (it != points_.end() && *it == x) {
-    points_.erase(it);
-    ++version_;
-  }
 }
 
 double RingTable::estimate_ln_n(std::size_t i) const {

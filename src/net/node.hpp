@@ -75,7 +75,7 @@ class Node {
   /// batch, in arrival order (empty when only a wake made the node
   /// active).  The default forwards to on_message one by one; nodes
   /// that can amortize work across the batch (e.g. evaluating all
-  /// fresh route requests against the epoch index in one pass)
+  /// fresh route requests in one route_many pass)
   /// override this and MUST preserve per-message semantics and send
   /// order, so traces stay byte-identical.
   virtual void on_messages(std::span<const Message> batch, Context& ctx) {

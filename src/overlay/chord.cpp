@@ -1,7 +1,5 @@
 #include "overlay/chord.hpp"
 
-#include "overlay/routing_index.hpp"
-
 namespace tg::overlay {
 
 ChordOverlay::ChordOverlay(const RingTable& table)
@@ -23,37 +21,37 @@ std::vector<RingPoint> ChordOverlay::link_targets(RingPoint x) const {
   return targets;
 }
 
-void ChordOverlay::fill_index_row(const RoutingIndex& ix, std::size_t i,
-                                  std::uint32_t* row) const {
-  const RingPoint x = ix.point(i);
+void ChordOverlay::fill_index_row(std::size_t i, std::uint32_t* row) const {
+  const RingPoint x = table_->points()[i];
   for (int f = 1; f <= finger_bits_; ++f) {
     row[f - 1] = static_cast<std::uint32_t>(
-        ix.successor_index(x.advanced(1ULL << (64 - f))));
+        table_->successor_index(x.advanced(1ULL << (64 - f))));
   }
   row[finger_bits_] =
-      static_cast<std::uint32_t>(ix.successor_index(x.advanced(1)));
+      static_cast<std::uint32_t>(table_->successor_index(x.advanced(1)));
 }
 
-void ChordOverlay::route_indexed(const RoutingIndex& ix, Route& r,
-                                 std::size_t start, RingPoint key) const {
-  const std::size_t target = ix.successor_index(key);
+void ChordOverlay::route_indexed(Route& r, std::size_t start,
+                                 RingPoint key) const {
+  const std::size_t target = table_->successor_index(key);
+  const std::vector<RingPoint>& pts = table_->points();
   std::size_t cur = start;
   r.path.push_back(cur);
   const std::size_t cap = hop_cap();
   while (cur != target) {
     if (r.path.size() > cap) return;
-    const RingPoint cur_pt = ix.point(cur);
+    const RingPoint cur_pt = pts[cur];
     const std::uint64_t dist_to_key = cur_pt.cw_distance_to(key);
     // Closest preceding finger: the row entry with the largest
     // clockwise advance that does not pass the key.  If none lands in
     // (cur, key], the immediate successor (the row's last entry) is
     // responsible: it is the first ID past the key.
-    const std::uint32_t* row = ix.row(cur);
-    std::size_t best = row[finger_bits_];
+    const std::uint32_t* fingers = finger_row(cur);
+    std::size_t best = fingers[finger_bits_];
     std::uint64_t best_advance = 0;
     for (int i = 0; i < finger_bits_; ++i) {
-      const std::size_t nb = row[i];
-      const std::uint64_t advance = cur_pt.cw_distance_to(ix.point(nb));
+      const std::size_t nb = fingers[i];
+      const std::uint64_t advance = cur_pt.cw_distance_to(pts[nb]);
       if (advance > best_advance && advance <= dist_to_key) {
         best_advance = advance;
         best = nb;

@@ -24,15 +24,14 @@ class ChordOverlay final : public InputGraph {
  protected:
   /// Greedy closest-preceding-finger routing over the node's
   /// pre-resolved finger row; O(log N) hops w.h.p.
-  void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
+  void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 
   /// Row layout: [finger 1 .. finger finger_bits_, immediate successor].
   [[nodiscard]] std::size_t index_row_width() const noexcept override {
     return static_cast<std::size_t>(finger_bits_) + 1;
   }
-  void fill_index_row(const RoutingIndex& ix, std::size_t i,
-                      std::uint32_t* row) const override;
+  void fill_index_row(std::size_t i, std::uint32_t* row) const override;
 
  private:
   int finger_bits_;

@@ -33,7 +33,7 @@ class ChordPPOverlay final : public InputGraph {
   [[nodiscard]] std::uint64_t finger_offset(RingPoint x, int i) const noexcept;
 
  protected:
-  void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
+  void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 
   /// Row layout: [perturbed finger 1 .. finger_bits_, successor] —
@@ -41,8 +41,7 @@ class ChordPPOverlay final : public InputGraph {
   [[nodiscard]] std::size_t index_row_width() const noexcept override {
     return static_cast<std::size_t>(finger_bits_) + 1;
   }
-  void fill_index_row(const RoutingIndex& ix, std::size_t i,
-                      std::uint32_t* row) const override;
+  void fill_index_row(std::size_t i, std::uint32_t* row) const override;
 
  private:
   int finger_bits_;

@@ -1,7 +1,5 @@
 #include "overlay/debruijn.hpp"
 
-#include "overlay/routing_index.hpp"
-
 namespace tg::overlay {
 
 DeBruijnOverlay::DeBruijnOverlay(const RingTable& table)
@@ -17,21 +15,21 @@ std::vector<RingPoint> DeBruijnOverlay::link_targets(RingPoint x) const {
   };
 }
 
-void DeBruijnOverlay::route_indexed(const RoutingIndex& ix, Route& r,
-                                    std::size_t start, RingPoint key) const {
-  const std::size_t target = ix.successor_index(key);
+void DeBruijnOverlay::route_indexed(Route& r, std::size_t start,
+                                    RingPoint key) const {
+  const std::size_t target = table_->successor_index(key);
   std::size_t cur = start;
   r.path.push_back(cur);
 
   // Imaginary-point phase: after t prepends, the imaginary point agrees
   // with the key on its top t bits.  Bits must be injected in reverse
   // (bit t of the key first, MSB last) so they stack correctly.
-  RingPoint imaginary = ix.point(cur);
+  RingPoint imaginary = table_->points()[cur];
   for (int j = route_bits_; j >= 1; --j) {
     if (cur == target) break;
     const bool bit = (key.raw() >> (64 - j)) & 1ULL;
     imaginary = imaginary.halved(bit);
-    const std::size_t next = ix.successor_index(imaginary);
+    const std::size_t next = table_->successor_index(imaginary);
     if (next != cur) {
       cur = next;
       r.path.push_back(cur);

@@ -29,7 +29,7 @@ class DeBruijnOverlay final : public InputGraph {
  protected:
   // Hop targets depend on route state — no per-node row to
   // pre-resolve (width 0); every hop is one successor-grid lookup.
-  void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
+  void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 
  private:

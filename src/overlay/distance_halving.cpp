@@ -1,7 +1,5 @@
 #include "overlay/distance_halving.hpp"
 
-#include "overlay/routing_index.hpp"
-
 namespace tg::overlay {
 
 DistanceHalvingOverlay::DistanceHalvingOverlay(const RingTable& table)
@@ -33,10 +31,9 @@ std::vector<RingPoint> DistanceHalvingOverlay::link_targets(
   return targets;
 }
 
-void DistanceHalvingOverlay::route_indexed(const RoutingIndex& ix, Route& r,
-                                           std::size_t start,
+void DistanceHalvingOverlay::route_indexed(Route& r, std::size_t start,
                                            RingPoint key) const {
-  const std::size_t target = ix.successor_index(key);
+  const std::size_t target = table_->successor_index(key);
   std::size_t cur = start;
   r.path.push_back(cur);
 
@@ -44,12 +41,12 @@ void DistanceHalvingOverlay::route_indexed(const RoutingIndex& ix, Route& r,
   // reverse order moves any starting point into the dyadic cell of
   // width 2^-t around the key (distance halves per step — the
   // construction's namesake).
-  RingPoint walker = ix.point(cur);
+  RingPoint walker = table_->points()[cur];
   for (int j = route_bits_; j >= 1; --j) {
     if (cur == target) break;
     const bool bit = (key.raw() >> (64 - j)) & 1ULL;
     walker = walker.halved(bit);
-    const std::size_t next = ix.successor_index(walker);
+    const std::size_t next = table_->successor_index(walker);
     if (next != cur) {
       cur = next;
       r.path.push_back(cur);

@@ -35,7 +35,7 @@ class DistanceHalvingOverlay final : public InputGraph {
  protected:
   // Walker-halving hop targets depend on route state — no per-node
   // row to pre-resolve (width 0); every hop is one grid lookup.
-  void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
+  void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 
  private:

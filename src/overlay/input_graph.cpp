@@ -1,10 +1,8 @@
 #include "overlay/input_graph.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
-#include "overlay/routing_index.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -54,18 +52,19 @@ inline void record_route(telemetry::Session& session, const Route& r) {
 
 void InputGraph::route_into(Route& out, std::size_t start,
                             RingPoint key) const {
+  prepare_rows();
   out.reset();
-  route_indexed(index(), out, start, key);
+  route_indexed(out, start, key);
   if (auto* session = telemetry::active()) record_route(*session, out);
 }
 
 void InputGraph::route_many(const RouteQuery* queries, std::size_t count,
                             Route* out) const {
   if (count == 0) return;
-  const RoutingIndex& ix = index();  // resolved once for the batch
+  prepare_rows();
   for (std::size_t q = 0; q < count; ++q) {
     out[q].reset();
-    route_indexed(ix, out[q], queries[q].start, queries[q].key);
+    route_indexed(out[q], queries[q].start, queries[q].key);
   }
   if (auto* session = telemetry::active()) {
     for (std::size_t q = 0; q < count; ++q) record_route(*session, out[q]);
@@ -78,53 +77,39 @@ void InputGraph::route_many(const std::vector<RouteQuery>& queries,
   route_many(queries.data(), queries.size(), out.data());
 }
 
-const RoutingIndex& InputGraph::index() const {
-  const RoutingIndex* cached = index_ptr_.load(std::memory_order_acquire);
-  if (cached != nullptr && cached->table_version() == table_->version()) {
-    // Hit/build attribution is deterministic in every gated flow
-    // because runs warm the index from the main thread before any
-    // parallel phase (see the rebuild comment below); only a
-    // concurrent cold rebuild race could skew it.
-    telemetry::count(telemetry::Probe::overlay_index_hits);
-    return *cached;
+void InputGraph::prepare_rows() const {
+  if (rows_ready_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(rows_mutex_);
+  if (rows_ready_.load(std::memory_order_relaxed)) return;
+  row_width_ = index_row_width();
+  rows_.resize(size() * row_width_);
+  if (row_width_ > 0) {
+    // One lookup cascade per node: fan it out across the global pool.
+    // Reentrant calls from pool workers degrade to an inline
+    // sequential fill, which is still correct.
+    tg::ThreadPool::global().parallel_for(size(), [this](std::size_t i) {
+      fill_index_row(i, rows_.data() + i * row_width_);
+    });
   }
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (index_ == nullptr || index_->table_version() != table_->version()) {
-    auto fresh = std::make_unique<RoutingIndex>(*table_, index_row_width());
-    if (fresh->row_width() > 0) {
-      // Row fill dominates build time (one lookup cascade per node);
-      // fan it out across the global pool.  Reentrant calls from pool
-      // workers degrade to an inline sequential fill, which is still
-      // correct — warm the index from the main thread to avoid it.
-      RoutingIndex& ix = *fresh;
-      tg::ThreadPool::global().parallel_for(
-          ix.size(), [this, &ix](std::size_t i) {
-            fill_index_row(ix, i, ix.mutable_row(i));
-          });
-    }
-    index_ = std::move(fresh);
-    index_ptr_.store(index_.get(), std::memory_order_release);
-    if (auto* session = telemetry::active()) {
-      session->count(telemetry::Probe::overlay_index_builds);
-      session->event(telemetry::EventName::index_rebuild,
-                     telemetry::kSrcOverlay, 'i', /*id=*/0,
-                     /*a=*/index_->table_version(), /*b=*/index_->size());
-    }
+  rows_ready_.store(true, std::memory_order_release);
+  if (auto* session = telemetry::active()) {
+    session->count(telemetry::Probe::overlay_index_builds);
+    session->event(telemetry::EventName::index_rebuild,
+                   telemetry::kSrcOverlay, 'i', /*id=*/0, /*a=*/0,
+                   /*b=*/size());
   }
-  return *index_;
 }
 
-void InputGraph::fill_index_row(const RoutingIndex&, std::size_t,
-                                std::uint32_t*) const {}
+void InputGraph::fill_index_row(std::size_t, std::uint32_t*) const {}
 
 void InputGraph::ring_walk(Route& out, std::size_t cur,
                            std::size_t target) const {
-  const std::size_t m = table_->size();
+  const std::vector<RingPoint>& pts = table_->points();
+  const std::size_t m = pts.size();
   const std::size_t cap = hop_cap();
   while (cur != target) {
     if (out.path.size() > cap) return;  // ok stays false
-    const std::uint64_t cw =
-        table_->at(cur).cw_distance_to(table_->at(target));
+    const std::uint64_t cw = pts[cur].cw_distance_to(pts[target]);
     if (cw <= ids::kHalfRing) {
       cur = (cur + 1) % m;
     } else {
@@ -159,11 +144,6 @@ bool InputGraph::should_link(std::size_t w, std::size_t u) const {
     if (table_->successor_index(target) == u) return true;
   }
   return false;
-}
-
-int bits_for_size(std::size_t m) noexcept {
-  if (m <= 1) return 1;
-  return std::bit_width(m - 1);
 }
 
 }  // namespace tg::overlay

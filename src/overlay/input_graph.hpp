@@ -9,21 +9,21 @@
 //
 // The paper stresses H provides NO security by itself — it is a
 // topology template that the group-graph construction hardens.  All
-// implementations here are bound to a RingTable of IDs owned by the
-// caller; they are stateless routing/linking oracles over that table
-// (the lazily built RoutingIndex cache is a pure function of the
-// table, so the oracles stay logically stateless).
-//
-// Routing runs against the epoch-resident RoutingIndex (successor grid
-// + pre-resolved finger rows; routing_index.hpp).  Every overlay's
-// route is pinned by a golden hash over seeded queries in the tests.
+// implementations here are bound to an immutable RingTable of IDs
+// owned by the caller; they are stateless routing/linking oracles over
+// that table.  Route loops resolve successors through the table's grid
+// (RingTable::successor_index).  Chord, Chord++ and Viceroy also keep
+// one finger row per node — their fixed per-node candidate set,
+// pre-resolved — built once per overlay on first use; a row is a pure
+// function of the table, so the oracles stay logically stateless.
+// Every overlay's route is pinned by a golden hash over seeded queries
+// in the tests.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <string_view>
 #include <vector>
@@ -33,10 +33,9 @@
 namespace tg::overlay {
 
 using ids::Arc;
+using ids::bits_for_size;
 using ids::RingPoint;
 using ids::RingTable;
-
-class RoutingIndex;
 
 /// The traversed node indices of one route, small-buffer optimized:
 /// routes are O(log N) hops, so the inline capacity absorbs virtually
@@ -184,19 +183,19 @@ class InputGraph {
   /// warm `out` (capacity from earlier routes) is reused verbatim.
   void route_into(Route& out, std::size_t start, RingPoint key) const;
 
-  /// Batch evaluation: route every query, resolving the index ONCE
-  /// for the whole batch.  `out` entries are reused as scratch (the
-  /// vector is resized, never shrunk).
+  /// Batch evaluation: route every query.  `out` entries are reused
+  /// as scratch (the vector is resized, never shrunk).
   void route_many(const RouteQuery* queries, std::size_t count,
                   Route* out) const;
   void route_many(const std::vector<RouteQuery>& queries,
                   std::vector<Route>& out) const;
 
-  /// The epoch-resident index for the table's CURRENT version, built
-  /// on first use (rows filled in parallel on ThreadPool::global())
-  /// and rebuilt lazily if the table mutates.  Thread-safe; callers
-  /// may warm it eagerly before a routing-heavy phase.
-  [[nodiscard]] const RoutingIndex& index() const;
+  /// Build the finger rows now, filled in parallel on
+  /// ThreadPool::global(); the first route builds them otherwise.
+  /// Thread-safe and idempotent.  Warm them from the main thread
+  /// before a routing-heavy phase: a first route on a pool worker
+  /// fills them inline.
+  void prepare_rows() const;
 
   /// Neighbor indices of node i (deduplicated, excludes i itself
   /// unless it is the only resolved neighbor — tiny tables).
@@ -211,19 +210,23 @@ class InputGraph {
   [[nodiscard]] std::size_t size() const noexcept { return table_->size(); }
 
  protected:
-  /// The overlay's route loop, against the table's index: the grid
-  /// answers successor lookups exactly as RingTable::successor_index,
-  /// and the rows hold pre-resolved copies of per-node lookups.
-  virtual void route_indexed(const RoutingIndex& ix, Route& out,
-                             std::size_t start, RingPoint key) const = 0;
+  /// The overlay's route loop: successor lookups through the table,
+  /// per-node candidates from the prepared finger rows.
+  virtual void route_indexed(Route& out, std::size_t start,
+                             RingPoint key) const = 0;
 
-  /// Entries per pre-resolved finger row (0 = successor grid only).
+  /// Entries per finger row (0 = the overlay keeps no rows).
   [[nodiscard]] virtual std::size_t index_row_width() const noexcept {
     return 0;
   }
-  /// Fill node i's row (index_row_width() entries) through the grid.
-  virtual void fill_index_row(const RoutingIndex& ix, std::size_t i,
-                              std::uint32_t* row) const;
+  /// Fill node i's row (index_row_width() successor indices).
+  virtual void fill_index_row(std::size_t i, std::uint32_t* row) const;
+
+  /// Node i's finger row; valid inside route_indexed (every route
+  /// prepares the rows first).
+  [[nodiscard]] const std::uint32_t* finger_row(std::size_t i) const noexcept {
+    return rows_.data() + i * row_width_;
+  }
 
   /// Shared correction tail: walk ring edges toward `target` along
   /// the shorter arc (clockwise on a tie), appending each step to
@@ -240,17 +243,12 @@ class InputGraph {
   const RingTable* table_;
 
  private:
-  // Lazy per-table-version index cache.  The atomic pointer makes the
-  // warm path lock-free; the mutex serializes (re)builds.  Rebuild
-  // while other threads route concurrently is excluded by the same
-  // contract that protects the table itself: epochs do not mutate
-  // their RingTable while routing is in flight.
-  mutable std::mutex index_mutex_;
-  mutable std::unique_ptr<RoutingIndex> index_;
-  mutable std::atomic<const RoutingIndex*> index_ptr_{nullptr};
+  // Finger rows, built once: the flag makes the warm path lock-free,
+  // the mutex serializes the build.
+  mutable std::mutex rows_mutex_;
+  mutable std::atomic<bool> rows_ready_{false};
+  mutable std::vector<std::uint32_t> rows_;  // n * row_width_ indices
+  mutable std::size_t row_width_ = 0;
 };
-
-/// Number of bits needed so that 2^bits >= m (routing precision).
-[[nodiscard]] int bits_for_size(std::size_t m) noexcept;
 
 }  // namespace tg::overlay

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "overlay/routing_index.hpp"
-
 namespace tg::overlay {
 namespace {
 
@@ -126,9 +124,9 @@ std::vector<RingPoint> KautzOverlay::link_targets(RingPoint x) const {
   return targets;
 }
 
-void KautzOverlay::route_indexed(const RoutingIndex& ix, Route& r,
-                                 std::size_t start, RingPoint key) const {
-  const std::size_t target = ix.successor_index(key);
+void KautzOverlay::route_indexed(Route& r, std::size_t start,
+                                 RingPoint key) const {
+  const std::size_t target = table_->successor_index(key);
   std::size_t cur = start;
   r.path.push_back(cur);
 
@@ -141,7 +139,7 @@ void KautzOverlay::route_indexed(const RoutingIndex& ix, Route& r,
   // valid); tgt[1] != tgt[0] already, so one detour never cascades.
   std::int8_t virt[kMaxKautzDigits];
   std::int8_t tgt[kMaxKautzDigits];
-  encode_into(ix.point(cur), digits_, virt);
+  encode_into(table_->points()[cur], digits_, virt);
   encode_into(key, digits_, tgt);
 
   std::int8_t inject[kMaxKautzDigits + 1];
@@ -160,7 +158,8 @@ void KautzOverlay::route_indexed(const RoutingIndex& ix, Route& r,
     std::memmove(virt, virt + 1,
                  static_cast<std::size_t>(digits_ - 1) * sizeof(std::int8_t));
     virt[digits_ - 1] = inject[k];
-    const std::size_t next = ix.successor_index(decode_span(virt, digits_));
+    const std::size_t next =
+        table_->successor_index(decode_span(virt, digits_));
     if (next != cur) {
       cur = next;
       r.path.push_back(cur);

@@ -45,7 +45,7 @@ class KautzOverlay final : public InputGraph {
  protected:
   /// Digit-injection walk over fixed stack buffers (digits_ is
   /// bounded by 66) and the grid: zero heap allocations per route.
-  void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
+  void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 
  private:

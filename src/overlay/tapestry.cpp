@@ -1,7 +1,5 @@
 #include "overlay/tapestry.hpp"
 
-#include "overlay/routing_index.hpp"
-
 namespace tg::overlay {
 namespace {
 
@@ -44,21 +42,22 @@ std::vector<RingPoint> TapestryOverlay::link_targets(RingPoint x) const {
   return targets;
 }
 
-void TapestryOverlay::route_indexed(const RoutingIndex& ix, Route& r,
-                                    std::size_t start, RingPoint key) const {
-  const std::size_t target = ix.successor_index(key);
+void TapestryOverlay::route_indexed(Route& r, std::size_t start,
+                                    RingPoint key) const {
+  const std::size_t target = table_->successor_index(key);
   std::size_t cur = start;
   r.path.push_back(cur);
 
   while (cur != target) {
-    const int shared = shared_digits(ix.point(cur), key);
+    const int shared = shared_digits(table_->points()[cur], key);
     if (shared >= levels_) break;  // past the table's resolution: walk
     // Hop to the first node clockwise of the key's level-(shared+1)
     // prefix corner.  That node either shares one more digit with the
     // key or IS suc(key) (empty sub-arc below the key).
     const unsigned d =
         static_cast<unsigned>((key.raw() >> (64 - 4 * (shared + 1))) & 0xF);
-    const std::size_t next = ix.successor_index(entry_point(key, shared, d));
+    const std::size_t next =
+        table_->successor_index(entry_point(key, shared, d));
     if (next == cur) break;  // unreachable by ring geometry; defensive
     cur = next;
     r.path.push_back(cur);

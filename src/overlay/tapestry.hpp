@@ -41,7 +41,7 @@ class TapestryOverlay final : public InputGraph {
  protected:
   // Hop targets are prefix corners of the KEY, not per-node constants
   // — grid-only acceleration (width 0).
-  void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
+  void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 
  private:

@@ -1,6 +1,5 @@
 #include "overlay/viceroy.hpp"
 
-#include "overlay/routing_index.hpp"
 #include "util/rng.hpp"
 
 namespace tg::overlay {
@@ -38,20 +37,19 @@ std::vector<RingPoint> ViceroyOverlay::link_targets(RingPoint x) const {
   return targets;
 }
 
-void ViceroyOverlay::fill_index_row(const RoutingIndex& ix, std::size_t i,
-                                    std::uint32_t* row) const {
-  const RingPoint x = ix.point(i);
+void ViceroyOverlay::fill_index_row(std::size_t i, std::uint32_t* row) const {
+  const RingPoint x = table_->points()[i];
   row[0] = static_cast<std::uint32_t>(
-      ix.successor_index(x.advanced(ids::kHalfRing)));
+      table_->successor_index(x.advanced(ids::kHalfRing)));
   for (int level = 1; level <= levels_; ++level) {
     row[level] = static_cast<std::uint32_t>(
-        ix.successor_index(x.advanced(1ULL << (64 - level))));
+        table_->successor_index(x.advanced(1ULL << (64 - level))));
   }
 }
 
-void ViceroyOverlay::route_indexed(const RoutingIndex& ix, Route& r,
-                                   std::size_t start, RingPoint key) const {
-  const std::size_t target = ix.successor_index(key);
+void ViceroyOverlay::route_indexed(Route& r, std::size_t start,
+                                   RingPoint key) const {
+  const std::size_t target = table_->successor_index(key);
   std::size_t cur = start;
   r.path.push_back(cur);
   const std::size_t cap = hop_cap();
@@ -64,15 +62,15 @@ void ViceroyOverlay::route_indexed(const RoutingIndex& ix, Route& r,
   int level = 1;
   while (cur != target && level <= levels_) {
     if (r.path.size() > cap) return;
-    const RingPoint cur_pt = ix.point(cur);
+    const RingPoint cur_pt = table_->points()[cur];
     const std::uint64_t dist = cur_pt.cw_distance_to(key);
     // Down-left covers 2^-level of the ring; down-right covers 1/2.
     const std::uint64_t down_left = 1ULL << (64 - level);
     std::size_t next = cur;
     if (dist >= ids::kHalfRing) {
-      next = ix.row(cur)[0];
+      next = finger_row(cur)[0];
     } else if (dist >= down_left) {
-      next = ix.row(cur)[level];
+      next = finger_row(cur)[level];
     } else {
       ++level;  // this level's edges overshoot; descend
       continue;

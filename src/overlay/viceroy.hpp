@@ -34,7 +34,7 @@ class ViceroyOverlay final : public InputGraph {
   [[nodiscard]] int levels() const noexcept { return levels_; }
 
  protected:
-  void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
+  void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 
   /// Row layout: [down-right (half-ring), down-left per level 1..levels_]
@@ -42,8 +42,7 @@ class ViceroyOverlay final : public InputGraph {
   [[nodiscard]] std::size_t index_row_width() const noexcept override {
     return static_cast<std::size_t>(levels_) + 1;
   }
-  void fill_index_row(const RoutingIndex& ix, std::size_t i,
-                      std::uint32_t* row) const override;
+  void fill_index_row(std::size_t i, std::uint32_t* row) const override;
 
  private:
   int levels_;  ///< ~ log2 m butterfly levels

@@ -252,8 +252,7 @@ ModeStats run_mode_experiment(const core::GroupGraph& graph,
   } else {
     // all_to_all/certified never touch the rng inside transmit, so
     // pre-drawing every pair consumes the stream identically — which
-    // frees the route evaluation to run as one batch over the epoch
-    // index.
+    // frees the route evaluation to run as one route_many batch.
     std::vector<overlay::RouteQuery> queries(searches);
     for (auto& q : queries) {
       q.start = rng.below(graph.size());

@@ -25,7 +25,6 @@ constexpr ProbeInfo kProbeTable[kProbeCount] = {
     {"net.delivered_per_round", ProbeKind::histogram, true},
     {"overlay.routes", ProbeKind::counter, true},
     {"overlay.route_failures", ProbeKind::counter, true},
-    {"overlay.index.hits", ProbeKind::counter, true},
     {"overlay.index.builds", ProbeKind::counter, true},
     {"overlay.hops_per_route", ProbeKind::histogram, true},
     {"core.pristine_builds", ProbeKind::counter, true},
@@ -57,7 +56,7 @@ constexpr EventInfo kEventTable[kEventNameCount] = {
     {"op.attempt", "workload", "attempt", "hedge"},
     {"op.stale", "workload", "group", ""},
     {"net.round", "net", "delivered", "sent"},
-    {"overlay.index_rebuild", "overlay", "version", "nodes"},
+    {"overlay.index_rebuild", "overlay", "", "nodes"},
     {"core.pristine_build", "core", "n", "groups"},
     {"core.epoch.membership", "core", "requests", "rejects"},
     {"core.epoch.neighbors", "core", "requests", "rejects"},

@@ -80,7 +80,6 @@ enum class Probe : std::uint16_t {
   net_delivered_per_round,    // histogram
   overlay_routes,
   overlay_route_failures,
-  overlay_index_hits,
   overlay_index_builds,
   overlay_hops,               // histogram: hops per resolved route
   core_pristine_builds,
@@ -143,7 +142,7 @@ enum class EventName : std::uint16_t {
   op_attempt,        ///< 'n': retry/hedge attempt sent (a=attempt#, b=1 if hedge)
   op_stale,          ///< 'n': reply to an already-settled op (a=group)
   net_round,         ///< 'C': per-round delivery counter (a=delivered, b=sent)
-  index_rebuild,     ///< 'i': routing index (re)build (a=version, b=nodes)
+  index_rebuild,     ///< 'i': overlay rows prepared, once per topology (b=nodes)
   pristine_build,    ///< 'i': pristine group graph built (a=n, b=groups)
   epoch_membership,  ///< 'i': epoch-build membership phase (a=requests, b=rejects)
   epoch_neighbors,   ///< 'i': epoch-build neighbor phase (a=requests, b=rejects)

@@ -34,7 +34,6 @@
 #include "overlay/kautz.hpp"
 #include "overlay/properties.hpp"
 #include "overlay/registry.hpp"
-#include "overlay/routing_index.hpp"
 #include "overlay/tapestry.hpp"
 #include "overlay/viceroy.hpp"
 

@@ -81,8 +81,8 @@ class GroupNode final : public net::Node {
   }
 
   /// Batch hook: route every fresh request in the round's delivery
-  /// batch in ONE route_many pass over the epoch index, then replay
-  /// the messages in arrival order with their pre-computed routes.
+  /// batch in ONE route_many pass, then replay the messages in arrival
+  /// order with their pre-computed routes.
   /// Candidate detection is side-effect-free (red/responsible checks
   /// only read immutable world state), so semantics, send order and
   /// traces are byte-identical to the per-message path.
@@ -835,9 +835,9 @@ std::string_view to_string(Mode mode) noexcept {
 RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
               std::size_t threads) {
   const World& world = service.world();
-  // Warm the epoch routing index from the main thread (its row build
+  // Build the overlay's finger rows from the main thread (the build
   // parallelizes on the global pool) before handlers start routing —
-  // a pool worker hitting a cold index would build it inline.
+  // a pool worker routing first would build them inline.
   world.prepare_routing();
 
   // Normalize the spec the nodes will observe: phases sorted.

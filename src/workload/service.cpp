@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "overlay/registry.hpp"
-#include "overlay/routing_index.hpp"
 
 namespace tg::workload {
 
@@ -86,9 +85,7 @@ const overlay::InputGraph& World::topology() const noexcept {
   return graph_ ? graph_->topology() : *topology_;
 }
 
-void World::prepare_routing() const {
-  (void)topology().index();
-}
+void World::prepare_routing() const { topology().prepare_rows(); }
 
 std::uint64_t World::pair_messages(std::size_t a, std::size_t b) const noexcept {
   return static_cast<std::uint64_t>(compositions_[a].size) *

@@ -57,13 +57,12 @@ class World {
   /// route() into caller-owned scratch (allocation-free steady state).
   void route_into(overlay::Route& out, std::size_t start,
                   ids::RingPoint key) const;
-  /// Batch evaluation over the overlay: the epoch index resolves once
-  /// for the whole batch.
+  /// Batch evaluation over the overlay.
   void route_many(const overlay::RouteQuery* queries, std::size_t count,
                   overlay::Route* out) const;
   /// The overlay requests route over (graph or region topology).
   [[nodiscard]] const overlay::InputGraph& topology() const noexcept;
-  /// Warm the overlay's RoutingIndex from the calling thread, so the
+  /// Build the overlay's finger rows from the calling thread, so the
   /// parallel row build is not forced inline on a pool worker later.
   void prepare_routing() const;
   /// All-to-all exchange cost of one group-to-group hop.

@@ -181,19 +181,6 @@ TEST(RingTable, ResponsibilityArcResolvesToOwner) {
   }
 }
 
-TEST(RingTable, InsertEraseMaintainOrder) {
-  RingTable t({RingPoint{10}, RingPoint{30}});
-  t.insert(RingPoint{20});
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.at(1).raw(), 20u);
-  t.insert(RingPoint{20});  // duplicate ignored
-  EXPECT_EQ(t.size(), 3u);
-  t.erase(RingPoint{20});
-  EXPECT_EQ(t.size(), 2u);
-  t.erase(RingPoint{20});  // absent: no-op
-  EXPECT_EQ(t.size(), 2u);
-}
-
 TEST(RingTable, UniformHasRequestedSize) {
   Rng rng(6);
   EXPECT_EQ(RingTable::uniform(1000, rng).size(), 1000u);

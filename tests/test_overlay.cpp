@@ -14,7 +14,6 @@
 #include "overlay/kautz.hpp"
 #include "overlay/properties.hpp"
 #include "overlay/registry.hpp"
-#include "overlay/routing_index.hpp"
 #include "overlay/tapestry.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -350,34 +349,6 @@ TEST(Overlay, RoutesArePinned) {
   for (const auto& [kind, pin] : pins) {
     EXPECT_EQ(route_digest(kind, /*batch=*/false), pin) << kind_slug(kind);
     EXPECT_EQ(route_digest(kind, /*batch=*/true), pin) << kind_slug(kind);
-  }
-}
-
-TEST(RoutingIndex, RebuildsAfterTableMutation) {
-  Rng rng(84);
-  // 100 -> 101 points keeps bits_for_size (and so Chord's finger
-  // count, fixed at construction) unchanged.
-  auto table = ids::RingTable::uniform(100, rng);
-  const auto graph = make_overlay(Kind::chord, table);
-  const RoutingIndex* first = &graph->index();
-  EXPECT_EQ(first, &graph->index());  // cached while the table is stable
-  const std::uint64_t v0 = table.version();
-  table.insert(ids::RingPoint{0x123456789abcdefULL});
-  EXPECT_GT(table.version(), v0);
-  const RoutingIndex& rebuilt = graph->index();
-  EXPECT_EQ(rebuilt.size(), table.size());
-  // Routes over the mutated table equal those of an overlay built
-  // fresh over a copy of it.
-  const ids::RingTable copy = table;
-  const auto fresh = make_overlay(Kind::chord, copy);
-  for (int i = 0; i < 40; ++i) {
-    const std::size_t start = rng.below(table.size());
-    const ids::RingPoint key{rng.u64()};
-    const Route mutated = graph->route(start, key);
-    const Route expected = fresh->route(start, key);
-    ASSERT_EQ(mutated.ok, expected.ok);
-    ASSERT_TRUE(mutated.path == expected.path);
-    ASSERT_EQ(mutated.path.back(), table.successor_index(key));
   }
 }
 

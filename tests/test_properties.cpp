@@ -13,9 +13,11 @@
 // lane multiplies them via TG_PROP_ITERS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -144,6 +146,105 @@ TEST(RingTableProperties, CountInIsAdditiveOverSplits) {
         return "seed/start/len/cut " +
                show_u64s({std::get<0>(c), std::get<1>(c), std::get<2>(c),
                           std::get<3>(c)});
+      });
+}
+
+/// lower_bound over the sorted IDs: the reference for RingTable's
+/// grid-backed rank, kept apart from the code under test.
+std::size_t reference_rank(const std::vector<ids::RingPoint>& points,
+                           ids::RingPoint x) {
+  return static_cast<std::size_t>(
+      std::lower_bound(points.begin(), points.end(), x) - points.begin());
+}
+
+TEST(RingTableProperties, RankMatchesLowerBound) {
+  static constexpr std::size_t kSizes[] = {0, 1, 2, 3, 64, 1000, 10000};
+  using Case = std::tuple<std::uint64_t, bool, std::uint64_t>;
+  // (size index, clustered, seed)
+  expect_property<Case>(
+      "idspace.rank-matches-lower-bound",
+      proptest::tuple_of(proptest::below(std::size(kSizes)),
+                         proptest::boolean(), proptest::u64()),
+      [](const Case& c) {
+        const auto [size_index, clustered, seed] = c;
+        const std::size_t n = kSizes[size_index];
+        Rng rng(seed);
+        // Clustered tables plant half their IDs in runs of consecutive
+        // integers just past three anchors, the way targeted_join_chosen
+        // places an adversary's IDs; the first run wraps through 0.
+        std::vector<std::uint64_t> anchors;
+        ids::RingTable table;
+        if (clustered) {
+          anchors = {~std::uint64_t{0} - 2, rng.u64(), rng.u64()};
+          std::vector<ids::RingPoint> pts;
+          for (std::size_t i = 0; i < n / 2; ++i) {
+            pts.emplace_back(anchors[i % 3] + 1 + i / 3);
+          }
+          while (pts.size() < n) pts.emplace_back(rng.u64());
+          table = ids::RingTable(std::move(pts));
+        } else {
+          table = ids::RingTable::uniform(n, rng);
+        }
+        const std::vector<ids::RingPoint>& points = table.points();
+        const std::size_t m = points.size();
+
+        std::vector<ids::RingPoint> keys = {ids::RingPoint{0},
+                                            ids::RingPoint{~0ULL}};
+        for (std::size_t i = 0; i < m; i += m / 512 + 1) {
+          keys.push_back(points[i]);                   // on an ID
+          keys.push_back(points[i].advanced(1));       // one past it
+          keys.push_back(points[i].advanced(~0ULL));   // one before it
+        }
+        const std::uint64_t run = n / 6 + 1;
+        for (const std::uint64_t a : anchors) {
+          for (std::uint64_t j = 0; j <= run + 2; ++j) {
+            keys.emplace_back(a + j);  // inside the run and just after
+          }
+        }
+        for (int i = 0; i < 32; ++i) keys.emplace_back(rng.u64());
+
+        for (const ids::RingPoint x : keys) {
+          const std::size_t r = reference_rank(points, x);
+          const std::size_t suc = r < m ? r : 0;
+          const bool member = r < m && points[r] == x;
+          if (table.successor_index(x) != suc) return false;
+          if (table.contains(x) != member) return false;
+          if (table.index_of(x) !=
+              (member ? std::optional<std::size_t>(r) : std::nullopt)) {
+            return false;
+          }
+          if (m == 0) continue;  // no ID to succeed or precede x
+          if (table.successor(x) != points[suc]) return false;
+          if (table.predecessor(x) != points[(r + m - 1) % m]) return false;
+        }
+
+        // Arcs from a spread of the keys: count_in and indices_in
+        // against a brute-force scan, ordered clockwise from the start.
+        for (std::size_t k = 0; k < keys.size(); k += keys.size() / 12 + 1) {
+          for (const std::uint64_t len :
+               {std::uint64_t{0}, std::uint64_t{1}, run, rng.u64() >> 1,
+                rng.u64(), ~std::uint64_t{0}}) {
+            const ids::Arc arc{keys[k], len};
+            std::vector<std::size_t> inside;
+            for (std::size_t i = 0; i < m; ++i) {
+              if (arc.contains(points[i])) inside.push_back(i);
+            }
+            std::sort(inside.begin(), inside.end(),
+                      [&](std::size_t a, std::size_t b) {
+                        return arc.start().cw_distance_to(points[a]) <
+                               arc.start().cw_distance_to(points[b]);
+                      });
+            if (table.count_in(arc) != inside.size()) return false;
+            if (table.indices_in(arc) != inside) return false;
+          }
+        }
+        return true;
+      },
+      iters(40),
+      [](const Case& c) {
+        return "table{n=" + std::to_string(kSizes[std::get<0>(c)]) +
+               (std::get<1>(c) ? " clustered" : " uniform") + " seed=" +
+               show_u64s({std::get<2>(c)}) + '}';
       });
 }
 
