@@ -5,14 +5,28 @@
 // flat-per-member as n grows from 10^4 to 10^6.  Two phases per n:
 //
 //   scale_epoch_build_n<N>   pristine epoch build into the GroupTable
-//                            slab (streaming writes through the
-//                            multi-lane oracle engine)
+//                            slab (blocks of leaders hashed through the
+//                            multi-lane oracle engine on the pool)
 //   scale_round_loop_n<N>    chatter round loop at n nodes, 12-word
 //                            payloads (every message spills)
 //
-// Every row carries peak_rss_bytes, measured per phase: the kernel's
-// RSS high-water mark is reset (bench_common's reset_peak_rss) before
-// each build/loop so one process can report honest per-phase peaks.
+// and two rows for the dynamic construction of Section III, one
+// build_next from the builder's initial epoch at n = 10^4:
+//
+//   scale_build_next_n10000         beta = 0.05: dual failures are rare
+//                                   and the speculative searches almost
+//                                   all commit
+//   scale_build_next_n10000_beta20  beta = 0.2: failure-heavy, so most
+//                                   searches are routed inline
+//
+// meta.pool_width records ThreadPool::global().size(): the rows are
+// normalized for clock speed, not for core count.
+//
+// Every pristine and round-loop row carries peak_rss_bytes, measured
+// per phase: the kernel's RSS high-water mark is reset (bench_common's
+// reset_peak_rss) before each build/loop so one process can report
+// honest per-phase peaks.  The build_next rows, measured last, carry
+// none: what the earlier phases left resident would dominate theirs.
 // Each timed row is the fastest of its repetitions; CI's regression
 // guard scores it against the run's meta.calibration_ns (the frozen
 // calibration kernel).
@@ -71,6 +85,36 @@ BuildMeasurement measure_epoch_build(
   return out;
 }
 
+struct NextMeasurement {
+  double ns_per_build = 0.0;
+  core::BuildStats stats;
+};
+
+/// The fastest of `reps` build_next calls, each from the same initial
+/// epoch and rng state, so every rep builds the same epoch.
+NextMeasurement measure_build_next(std::size_t n, double beta,
+                                   std::size_t reps) {
+  core::Params params;
+  params.n = n;
+  params.seed = 2024;
+  params.beta = beta;
+  const core::EpochBuilder builder(params);
+  Rng rng(params.seed);
+  const core::EpochGraphs initial = builder.initial(rng);
+  NextMeasurement out;
+  out.ns_per_build = bench::fastest_across_cpus(static_cast<int>(reps), [&] {
+    Rng build_rng = rng;
+    core::BuildStats stats;
+    const Stopwatch sw;
+    const core::EpochGraphs next =
+        builder.build_next(initial, build_rng, &stats);
+    const double ns = sw.seconds() * 1e9;
+    out.stats = stats;
+    return ns;
+  });
+  return out;
+}
+
 struct LoopMeasurement {
   double ns_per_round = 0.0;
   std::uint64_t delivered = 0;
@@ -114,6 +158,10 @@ int main(int argc, char** argv) {
   if (!fast) points.push_back({1'000'000, 1, 3});
 
   JsonReporter reporter("scale");
+  // Also creates the global pool before fastest_across_cpus pins this
+  // thread, so the workers keep every CPU.
+  reporter.set_meta_number("pool_width",
+                           static_cast<double>(ThreadPool::global().size()));
   record_calibration(reporter);
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   reporter.set_meta("mode", fast ? "fast" : "full");
@@ -172,8 +220,33 @@ int main(int argc, char** argv) {
                static_cast<double>(loop.peak_rss) / (1024.0 * 1024.0)});
   }
 
+  Table next_table({"row", "beta", "build ms", "requests", "dual failures"});
+  next_table.set_title("build_next at n = 10^4 (one dual-graph epoch)");
+  const struct {
+    const char* name;
+    double beta;
+  } next_rows[] = {{"scale_build_next_n10000", 0.05},
+                   {"scale_build_next_n10000_beta20", 0.2}};
+  for (const auto& row : next_rows) {
+    const NextMeasurement next = measure_build_next(10'000, row.beta, 3);
+    const core::BuildStats& st = next.stats;
+    const std::uint64_t requests =
+        st.membership_requests + st.neighbor_requests;
+    const std::uint64_t failures =
+        st.membership_dual_failures + st.neighbor_dual_failures;
+    reporter.add_ns_per_op(row.name, next.ns_per_build,
+                           {{"n", 10'000.0},
+                            {"beta", row.beta},
+                            {"requests", static_cast<double>(requests)},
+                            {"dual_failures", static_cast<double>(failures)}});
+    next_table.add_row({std::string(row.name), row.beta,
+                        next.ns_per_build / 1e6, requests, failures});
+  }
+  record_calibration(reporter);
+
   reporter.set_meta_number("peak_rss_bytes", static_cast<double>(run_peak));
   t.print(std::cout);
+  next_table.print(std::cout);
   std::cout << "(peak_rss_bytes rows are phase-local via the\n"
                " /proc/self/clear_refs watermark reset.)\n";
 

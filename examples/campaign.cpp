@@ -42,7 +42,8 @@ void usage(const char* argv0) {
       << "                   the estimated per-world memory is printed up\n"
       << "                   front and the run refuses to start when it\n"
       << "                   cannot fit)\n"
-      << "  --beta B         override the adversarial fraction\n"
+      << "  --beta B         override the adversarial fraction (a number\n"
+      << "                   in [0, 1))\n"
       << "  --threads T      trial fan-out width.  Per-trial values are\n"
       << "                   scheduling-independent, but aggregated stats\n"
       << "                   are a function of the shard count, so leave 0\n"
@@ -159,7 +160,16 @@ int main(int argc, char** argv) {
       }
       options.n_override = n;
     } else if (arg == "--beta") {
-      options.beta_override = std::strtod(next().c_str(), nullptr);
+      const std::string value = next();
+      char* end = nullptr;
+      const double beta = std::strtod(value.c_str(), &end);
+      // !(beta < 1.0) also refuses NaN.
+      if (value.empty() || *end != '\0' || !(beta >= 0.0 && beta < 1.0)) {
+        std::cerr << "--beta needs a number in [0, 1), got '" << value
+                  << "'\n";
+        return 2;
+      }
+      options.beta_override = beta;
     } else if (arg == "--threads") {
       options.threads = std::strtoull(next().c_str(), nullptr, 10);
     } else if (arg == "--churn") {

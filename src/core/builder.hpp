@@ -83,7 +83,9 @@ class EpochBuilder {
   [[nodiscard]] EpochGraphs initial(Rng& rng) const;
 
   /// Run the construction of Section III-A for one epoch: returns the
-  /// new generation built from `old` via (dual) searches.
+  /// new generation built from `old` via (dual) searches.  The searches
+  /// run speculatively on ThreadPool::global(); the result, the stats
+  /// and the telemetry are byte-identical at any pool width.
   [[nodiscard]] EpochGraphs build_next(const EpochGraphs& old, Rng& rng,
                                        BuildStats* stats = nullptr) const;
 

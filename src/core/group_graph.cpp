@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tg::core {
 
@@ -16,6 +17,58 @@ void record_pristine_build(std::size_t n, std::size_t groups) {
     session->count(telemetry::Probe::core_pristine_builds);
     session->event(telemetry::EventName::pristine_build, telemetry::kSrcCore,
                    'i', /*id=*/0, /*a=*/n, /*b=*/groups);
+  }
+}
+
+// Pristine builds work in blocks of kBlockLeaders leaders (one pool
+// task each), kWaveLeaders leaders per fan-out.
+constexpr std::size_t kBlockLeaders = 64;
+constexpr std::size_t kWaveLeaders = 8192;
+
+/// Pristine membership of the `count` leaders of `pop` from index
+/// `first`: leader j's g successor indices, sorted and deduplicated in
+/// place at members + j * g, of which kept[j] survive and bad[j] are
+/// bad.  The (leader, slot) pairs cross leader boundaries on their way
+/// through the multi-lane engine, so lanes stay full even for tiny
+/// groups.
+void resolve_block(const Population& pop,
+                   const crypto::RandomOracle& oracle, std::size_t g,
+                   std::size_t first, std::size_t count,
+                   std::uint32_t* members, std::uint32_t* kept,
+                   std::uint32_t* bad) {
+  auto h = oracle.stream_pair();
+  constexpr std::size_t kLanes = crypto::Sha256::kMaxLanes;
+  std::uint64_t ws[kLanes], slots[kLanes], points[kLanes];
+  const std::size_t total = count * g;
+  std::size_t leader = first, slot = 0;
+  for (std::size_t p = 0; p < total; p += kLanes) {
+    const std::size_t m = std::min(kLanes, total - p);
+    for (std::size_t k = 0; k < m; ++k) {
+      ws[k] = pop.table().at(leader).raw();
+      slots[k] = slot;
+      if (++slot == g) {
+        slot = 0;
+        ++leader;
+      }
+    }
+    h.eval_many(ws, slots, points, m);
+    for (std::size_t k = 0; k < m; ++k) {
+      members[p + k] = static_cast<std::uint32_t>(
+          pop.table().successor_index(ids::RingPoint{points[k]}));
+    }
+  }
+  for (std::size_t j = 0; j < count; ++j) {
+    // Deduplicate: a physical ID holds one membership per group.
+    std::uint32_t* const span = members + j * g;
+    std::sort(span, span + g);
+    const auto unique = static_cast<std::uint32_t>(
+        std::unique(span, span + g) - span);
+    std::uint32_t bad_members = 0;
+    for (std::uint32_t k = 0; k < unique; ++k) {
+      if (pop.is_bad(span[k])) ++bad_members;
+    }
+    kept[j] = unique;
+    bad[j] = bad_members;
   }
 }
 
@@ -54,44 +107,36 @@ GroupGraph GroupGraph::pristine(const Params& params,
                                 const crypto::RandomOracle& membership_oracle) {
   const std::size_t n = pop->size();
   const std::size_t g = params.group_size();
-  auto h = membership_oracle.stream_pair();
 
-  // Streaming build: membership points flow through the multi-lane
-  // engine straight into the slab, batched ACROSS leaders so lane
-  // occupancy stays full even for tiny groups.  The oracle is a pure
-  // function of (w, slot), so batching shape cannot perturb results.
+  // Blocks of leaders are hashed, resolved and deduplicated on the
+  // pool, a wave at a time, into buffers owned by this thread, which
+  // then appends the wave to the slab in leader order.  The oracle is
+  // a pure function of (w, slot), so neither the block shape nor the
+  // pool width can perturb the result.
   GroupTable table;
   table.reserve(n, n * g);
-  constexpr std::size_t kBatchPoints = 1024;
-  const std::size_t leaders_per_batch =
-      g == 0 ? 1 : std::max<std::size_t>(1, kBatchPoints / g);
-  std::vector<std::uint64_t> ws(leaders_per_batch * g);
-  std::vector<std::uint64_t> slots(leaders_per_batch * g);
-  std::vector<std::uint64_t> points(leaders_per_batch * g);
-  for (std::size_t base = 0; base < n; base += leaders_per_batch) {
-    const std::size_t block = std::min(leaders_per_batch, n - base);
-    for (std::size_t j = 0; j < block; ++j) {
-      const std::uint64_t w = pop->table().at(base + j).raw();
-      for (std::size_t slot = 0; slot < g; ++slot) {
-        ws[j * g + slot] = w;
-        slots[j * g + slot] = slot;
-      }
-    }
-    h.eval_many(ws.data(), slots.data(), points.data(), block * g);
-    for (std::size_t j = 0; j < block; ++j) {
+  const std::size_t wave_cap = std::min(n, kWaveLeaders);
+  std::vector<std::uint32_t> members(wave_cap * g);
+  std::vector<std::uint32_t> kept(wave_cap);
+  std::vector<std::uint32_t> bad(wave_cap);
+  for (std::size_t base = 0; base < n; base += kWaveLeaders) {
+    const std::size_t wave = std::min(kWaveLeaders, n - base);
+    const std::size_t blocks = (wave + kBlockLeaders - 1) / kBlockLeaders;
+    ThreadPool::global().parallel_for(blocks, [&](std::size_t b) {
+      const std::size_t first = b * kBlockLeaders;
+      resolve_block(*pop, membership_oracle, g, base + first,
+                    std::min(kBlockLeaders, wave - first),
+                    members.data() + first * g, kept.data() + first,
+                    bad.data() + first);
+    });
+    for (std::size_t j = 0; j < wave; ++j) {
       const GroupId id =
           table.begin_group(static_cast<std::uint32_t>(base + j));
-      for (std::size_t slot = 0; slot < g; ++slot) {
-        table.add_member(static_cast<std::uint32_t>(
-            pop->table().successor_index(ids::RingPoint{points[j * g + slot]})));
+      for (std::size_t k = 0; k < kept[j]; ++k) {
+        table.add_member(members[j * g + k]);
       }
-      // Deduplicate: a physical ID holds one membership per group.
-      table.finish_group();
-      std::uint32_t bad = 0;
-      for (const auto m : table.members(id)) {
-        if (pop->is_bad(m)) ++bad;
-      }
-      table.set_bad_members(id, bad);
+      table.finish_group();  // already sorted and unique
+      table.set_bad_members(id, bad[j]);
     }
   }
   record_pristine_build(n, table.size());

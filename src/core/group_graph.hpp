@@ -45,7 +45,9 @@ class GroupGraph {
 
   /// Trusted initialization (epoch 0; Appendix X): membership drawn
   /// directly through the oracle, neighbor sets correct by fiat, so
-  /// red groups arise only from unlucky membership composition.
+  /// red groups arise only from unlucky membership composition.  Blocks
+  /// of leaders are resolved on ThreadPool::global(); the graph is
+  /// byte-identical at any pool width.
   static GroupGraph pristine(const Params& params,
                              std::shared_ptr<const Population> pop,
                              const crypto::RandomOracle& membership_oracle);

@@ -52,10 +52,15 @@ inline void record_route(telemetry::Session& session, const Route& r) {
 
 void InputGraph::route_into(Route& out, std::size_t start,
                             RingPoint key) const {
+  route_unrecorded(out, start, key);
+  if (auto* session = telemetry::active()) record_route(*session, out);
+}
+
+void InputGraph::route_unrecorded(Route& out, std::size_t start,
+                                  RingPoint key) const {
   prepare_rows();
   out.reset();
   route_indexed(out, start, key);
-  if (auto* session = telemetry::active()) record_route(*session, out);
 }
 
 void InputGraph::route_many(const RouteQuery* queries, std::size_t count,

@@ -183,6 +183,11 @@ class InputGraph {
   /// warm `out` (capacity from earlier routes) is reused verbatim.
   void route_into(Route& out, std::size_t start, RingPoint key) const;
 
+  /// route_into without telemetry, for routes whose result may be
+  /// thrown away (the epoch builder's speculative searches on pool
+  /// workers); the caller records the routes it keeps.
+  void route_unrecorded(Route& out, std::size_t start, RingPoint key) const;
+
   /// Batch evaluation: route every query.  `out` entries are reused
   /// as scratch (the vector is resized, never shrunk).
   void route_many(const RouteQuery* queries, std::size_t count,

@@ -27,6 +27,9 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_task_.notify_all();
+  // Join before the members go: a worker that just left a job may still
+  // be notifying cv_job_done_, and workers_ is destroyed last.
+  for (auto& worker : workers_) worker.join();
 }
 
 ThreadPool& ThreadPool::global() {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "baseline/single_graph.hpp"
 #include "core/bootstrap.hpp"
@@ -106,6 +108,44 @@ TEST(EpochBuilder, OmissionReducesPresentBad) {
   const EpochGraphs g = builder.initial(rng);
   EXPECT_LT(g.pop->size(), p.n);  // withheld IDs are absent
   EXPECT_NEAR(g.pop->bad_fraction(), 0.05 / 0.95, 0.02);
+}
+
+TEST(EpochBuilder, RejectsOutOfRangeParameters) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double beta : {-0.1, 1.0, 1.5, nan}) {
+    EXPECT_THROW(EpochBuilder(small_params(64, beta)), std::invalid_argument)
+        << "beta=" << beta;
+  }
+  for (const double growth : {0.0, -1.0, nan, inf}) {
+    BuilderConfig cfg;
+    cfg.growth_factor = growth;
+    EXPECT_THROW(EpochBuilder(small_params(64), cfg), std::invalid_argument)
+        << "growth_factor=" << growth;
+  }
+  for (const double present : {-0.1, 1.5, nan}) {
+    BuilderConfig cfg;
+    cfg.bad_present_fraction = present;
+    EXPECT_THROW(EpochBuilder(small_params(64), cfg), std::invalid_argument)
+        << "bad_present_fraction=" << present;
+  }
+  // The ends of each range are valid.
+  BuilderConfig edges;
+  edges.bad_present_fraction = 0.0;
+  EXPECT_NO_THROW(EpochBuilder(small_params(64, 0.0), edges));
+  edges.bad_present_fraction = 1.0;
+  EXPECT_NO_THROW(EpochBuilder(small_params(64, 0.0), edges));
+}
+
+TEST(EpochBuilder, HugeGrowthFactorClampsToTwiceTheDesignSize) {
+  const auto p = small_params(64);
+  BuilderConfig cfg;
+  cfg.growth_factor = 1e30;
+  EpochBuilder builder(p, cfg);
+  Rng rng(p.seed);
+  const EpochGraphs next = builder.build_next(builder.initial(rng), rng);
+  EXPECT_LE(next.pop->size(), 2 * p.n);
+  EXPECT_GT(next.pop->size(), p.n);
 }
 
 TEST(EpochManager, DualKeepsRobustnessOverEpochs) {

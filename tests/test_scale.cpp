@@ -6,11 +6,14 @@
 // the client traffic served over them.  They were recorded before the
 // array-of-structs group layout was deleted, and held under both
 // layouts, so a changed digest means the epoch construction itself
-// changed.
+// changed.  The build-config and telemetry pins were recorded with the
+// sequential epoch builder, before the speculative one replaced it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder.hpp"
@@ -20,7 +23,10 @@
 #include "core/self_heal.hpp"
 #include "crypto/oracle.hpp"
 #include "scenario/campaign.hpp"
+#include "sim/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/traffic.hpp"
 
 namespace tg::core {
@@ -156,6 +162,151 @@ TEST(Epoch, ChurnAndHealingArePinned) {
   f.mix(churn.groups_lost_majority);
   f.mix(heal.healed);
   EXPECT_EQ(f.h, 0x59317e1de5d2aae2ULL);
+}
+
+/// Digest of one build_next result: both graphs, the counters and the
+/// per-category message ledger.
+std::uint64_t build_digest(const EpochGraphs& epoch, const BuildStats& stats) {
+  Fnv f;
+  f.mix(fingerprint(*epoch.g1));
+  f.mix(epoch.dual() ? fingerprint(*epoch.g2) : 0);
+  f.mix(stats_digest(stats));
+  f.mix(stats.messages.get(sim::MsgCat::membership));
+  f.mix(stats.messages.get(sim::MsgCat::neighbor_setup));
+  return f.h;
+}
+
+Params pin_params(double beta) {
+  Params params;
+  params.n = 2000;
+  params.seed = 99;
+  params.beta = beta;
+  return params;
+}
+
+/// FNV-1a over the bytes of an export.
+std::uint64_t text_digest(const std::string& text) {
+  Fnv f;
+  for (const char c : text) f.mix(static_cast<unsigned char>(c));
+  return f.h;
+}
+
+TEST(Epoch, BuildConfigsArePinned) {
+  // What BuildsArePinned leaves out: every BuilderConfig axis and the
+  // per-category message ledger, over the initial epoch and two
+  // build_next calls.  At beta = 0.2 dual failures are common, so the
+  // adversary-replacement and single-graph branches run often.
+  struct Case {
+    const char* name;
+    BuilderConfig config;
+    std::uint64_t pin[2];  // beta = 0.05, 0.2
+  };
+  const Case cases[] = {
+      {"dual", {}, {0x095f28ee58f51466ULL, 0x1e63672ec6dcc6b9ULL}},
+      {"single_graph",
+       {.mode = BuildMode::single_graph},
+       {0x05f838553ccfe6efULL, 0x9a8900abe6073af0ULL}},
+      {"no_corruption",
+       {.adversary_corrupts_on_failure = false},
+       {0x095f28ee58f51466ULL, 0x1c552ce1676a277fULL}},
+      {"half_present",
+       {.bad_present_fraction = 0.5},
+       {0xf3050eef1c586963ULL, 0x2ef0a6a1e8807b46ULL}},
+      {"growth_0.7",
+       {.growth_factor = 0.7},
+       {0xb3d33814364f75a4ULL, 0x4802dab908d955f8ULL}},
+      {"growth_1.2",
+       {.growth_factor = 1.2},
+       {0x1bbd3a54a0565c1fULL, 0xe12c7a07e6c7342cULL}},
+  };
+  const double betas[] = {0.05, 0.2};
+  for (const Case& c : cases) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      const EpochBuilder builder(pin_params(betas[b]), c.config);
+      Rng rng(99);
+      EpochGraphs epoch = builder.initial(rng);
+      Fnv f;
+      for (int step = 0; step < 2; ++step) {
+        BuildStats stats;
+        epoch = builder.build_next(epoch, rng, &stats);
+        f.mix(build_digest(epoch, stats));
+      }
+      EXPECT_EQ(f.h, c.pin[b]) << c.name << " beta=" << betas[b];
+    }
+  }
+}
+
+/// Stable metrics export of one build_next, recorded through the
+/// process-wide binding so that routes recorded on pool workers would
+/// count too.
+std::string build_metrics(const EpochBuilder& builder,
+                          const EpochGraphs& epoch, Rng& rng,
+                          EpochGraphs* next, BuildStats* stats) {
+  telemetry::Session session;
+  telemetry::set_active(&session);
+  *next = builder.build_next(epoch, rng, stats);
+  telemetry::set_active(nullptr);
+  return session.metrics_json();
+}
+
+TEST(Epoch, BuildTelemetryIsPinned) {
+  // One committed route per dual search: overlay.routes, overlay.hops,
+  // overlay.route_failures and every core.* counter.
+  const std::pair<double, std::uint64_t> pins[] = {
+      {0.05, 0x27186b6f3cd86594ULL},
+      {0.2, 0x786ad7ffd2d0d979ULL},
+  };
+  for (const auto& [beta, pin] : pins) {
+    const EpochBuilder builder(pin_params(beta));
+    Rng rng(99);
+    const EpochGraphs epoch = builder.initial(rng);
+    EpochGraphs next;
+    BuildStats stats;
+    EXPECT_EQ(text_digest(build_metrics(builder, epoch, rng, &next, &stats)),
+              pin)
+        << "beta=" << beta;
+  }
+}
+
+TEST(Epoch, PoolAndInlineBuildsAgree) {
+  // ThreadPool::global() is as wide as the machine, but a fan-out
+  // nested in a pool task runs inline: the same calls made inside
+  // parallel_for(1, ...) are the one-thread reference for the calls
+  // made from the main thread.
+  struct Result {
+    std::uint64_t pristine = 0;
+    std::uint64_t build = 0;
+    std::string metrics;
+  };
+  const auto run = [](double beta) {
+    Result r;
+    {
+      Params params = pin_params(beta);
+      params.n = 5000;  // several pristine waves
+      Rng rng(params.seed);
+      const auto pop = std::make_shared<const Population>(
+          Population::uniform(params.n, params.beta, rng));
+      const crypto::OracleSuite oracles(params.seed);
+      r.pristine = fingerprint(GroupGraph::pristine(params, pop, oracles.h2));
+    }
+    const EpochBuilder builder(pin_params(beta));
+    Rng rng(99);
+    const EpochGraphs epoch = builder.initial(rng);
+    EpochGraphs next;
+    BuildStats stats;
+    r.metrics = build_metrics(builder, epoch, rng, &next, &stats);
+    r.build = build_digest(next, stats);
+    return r;
+  };
+  for (const double beta : {0.05, 0.2}) {
+    const Result outside = run(beta);
+    Result inside;
+    ThreadPool::global().parallel_for(1,
+                                      [&](std::size_t) { inside = run(beta); });
+    EXPECT_EQ(inside.pristine, outside.pristine) << "beta=" << beta;
+    EXPECT_EQ(inside.build, outside.build) << "beta=" << beta;
+    EXPECT_EQ(inside.metrics, outside.metrics) << "beta=" << beta;
+  }
 }
 
 // ---------- GroupTable representation properties ----------

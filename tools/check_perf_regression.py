@@ -46,6 +46,12 @@ hash-bound rows anyway (same-fleet runners where a kernel change is
 itself the regression).  Matching kernels (or files without the key)
 enforce everything.
 
+Nor does normalization cancel core count: rows timed on the thread
+pool (the scale bench's epoch builds) run faster on a wider pool.
+Benches that time such rows record the pool's width as
+"meta.pool_width", which is printed beside calibration_ns and not
+enforced.
+
 Usage:
   check_perf_regression.py BASELINE CURRENT [--threshold 0.25]
                            [--absolute] [--allow-missing]
@@ -154,6 +160,12 @@ def main():
         print(f"calibration_ns: baseline="
               f"{baseline_meta.get('calibration_ns', '(unrecorded)')} "
               f"current={current_meta.get('calibration_ns', '(unrecorded)')}")
+        # Normalization cancels clock speed, not core count: rows timed
+        # on the thread pool scale with its width.
+        if "pool_width" in baseline_meta or "pool_width" in current_meta:
+            print(f"pool_width: baseline="
+                  f"{baseline_meta.get('pool_width', '(unrecorded)')} "
+                  f"current={current_meta.get('pool_width', '(unrecorded)')}")
 
     label = "ops_per_sec" if args.absolute else "score"
     baseline = guarded_scores(args.baseline, baseline_rows, baseline_meta,
