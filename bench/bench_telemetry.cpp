@@ -68,10 +68,10 @@ constexpr std::size_t kGuardTimeout = 12;
 
 /// Conservative off-path guards per delivered message: the round loop
 /// resolves one session per round, and a delivered workload message
-/// crosses at most three guards: the GroupNode handle guard, the route
-/// guard (InputGraph::route_into / route_many), and the issuer-side
-/// lifecycle guard.
-constexpr double kGuardsPerMessage = 3.0;
+/// crosses at most two guards: the GroupNode batch guard (one
+/// telemetry::active() per on_messages call, through which the entry
+/// group also records its route) and the issuer-side lifecycle guard.
+constexpr double kGuardsPerMessage = 2.0;
 /// Off-path budget: projected guard time <= 5% of the round time.
 /// The projection is deliberately pessimistic (every delivered
 /// message charged kGuardsPerMessage guards); the measured on/off

@@ -60,16 +60,6 @@ SearchResult dual_search(const EpochGraphs& old, std::size_t boot,
   return out;
 }
 
-/// The per-route telemetry InputGraph::route_into records.
-void record_route(telemetry::Session& session, const SearchResult& search) {
-  session.count(telemetry::Probe::overlay_routes);
-  if (search.routed) {
-    session.sample(telemetry::Probe::overlay_hops, search.hops);
-  } else {
-    session.count(telemetry::Probe::overlay_route_failures);
-  }
-}
-
 /// Boot index of a search that was not speculated.
 constexpr std::uint32_t kNoBoot = std::numeric_limits<std::uint32_t>::max();
 
@@ -250,7 +240,9 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
                                   : dual_search(old, boot, ids::RingPoint{key},
                                                 route);
     st.messages.add(cat, out.messages);
-    if (session != nullptr) record_route(*session, out);
+    if (session != nullptr) {
+      overlay::record_route(*session, out.routed, out.hops);
+    }
     return out.ok;
   };
 

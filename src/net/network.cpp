@@ -1,7 +1,9 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
@@ -156,37 +158,40 @@ void Network::start() {
 }
 
 void Network::gather(std::vector<Message>& deliveries) {
-  if (counts_.size() != nodes_.size()) counts_.assign(nodes_.size(), 0);
-  touched_.clear();
+  if (counts_.size() != nodes_.size()) {
+    counts_.assign(nodes_.size(), 0);
+    active_bits_.assign((nodes_.size() + 63) / 64, 0);
+  }
+  const auto mark = [this](NodeId id) {
+    active_bits_[id / 64] |= std::uint64_t{1} << (id % 64);
+  };
   for (const Message& m : inbox_) {
-    if (counts_[m.dst]++ == 0) touched_.push_back(m.dst);
+    ++counts_[m.dst];
+    mark(m.dst);
   }
-  std::sort(touched_.begin(), touched_.end());
-
-  due_.clear();
   if (!wakes_.empty() && wakes_.begin()->first == round_) {
-    due_.swap(wakes_.begin()->second);
+    for (const NodeId id : wakes_.begin()->second) mark(id);
     wakes_.erase(wakes_.begin());
-    if (!std::is_sorted(due_.begin(), due_.end())) {
-      std::sort(due_.begin(), due_.end());
-    }
-    due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
   }
 
-  // Merge destinations and wakes in NodeId order; a destination's
-  // counter becomes its write cursor (exclusive prefix sum).
+  // One scan in NodeId order yields the active set (and clears the
+  // bitmap); a destination's counter becomes its write cursor
+  // (exclusive prefix sum).  Zero words are only read: on a mostly
+  // idle network the scan is n/64 loads.
   active_.clear();
   std::uint32_t offset = 0;
-  std::size_t w = 0;
-  for (const NodeId dst : touched_) {
-    while (w < due_.size() && due_[w] < dst) active_.push_back({due_[w++]});
-    if (w < due_.size() && due_[w] == dst) ++w;
-    const std::uint32_t count = counts_[dst];
-    counts_[dst] = offset;
-    active_.push_back({dst, offset, offset + count});
-    offset += count;
+  std::uint64_t* const words = active_bits_.data();
+  for (std::size_t word = 0; word < active_bits_.size(); ++word) {
+    if (words[word] == 0) continue;
+    for (std::uint64_t bits = std::exchange(words[word], 0); bits != 0;
+         bits &= bits - 1) {
+      const auto id = static_cast<NodeId>(word * 64 + std::countr_zero(bits));
+      const std::uint32_t count = counts_[id];
+      counts_[id] = offset;
+      active_.push_back({id, offset, offset + count});
+      offset += count;
+    }
   }
-  while (w < due_.size()) active_.push_back({due_[w++]});
 
   // Scatter through a permutation: each message is move-constructed
   // once, written sequentially, into its destination's range.
@@ -198,17 +203,17 @@ void Network::gather(std::vector<Message>& deliveries) {
   for (const std::uint32_t i : order_) {
     deliveries.push_back(std::move(inbox_[i]));
   }
-  for (const NodeId dst : touched_) counts_[dst] = 0;
+  for (const Active& a : active_) counts_[a.node] = 0;
   inbox_.clear();
 }
 
-void Network::run_lane(Lane& lane, const Message* deliveries) {
+void Network::run_lane(Lane& lane, Message* deliveries) {
   for (std::size_t k = lane.begin; k < lane.end; ++k) {
     const Active& a = active_[k];
     Node& node = *nodes_[a.node];
     Context ctx(a.node, round_, lane.sends, lane.wakes);
     node.on_messages(
-        std::span<const Message>(deliveries + a.begin, a.end - a.begin), ctx);
+        std::span<Message>(deliveries + a.begin, a.end - a.begin), ctx);
     node.on_round_end(ctx);
   }
 }
@@ -236,7 +241,7 @@ std::size_t Network::run_round() {
 
   // Trace in delivery order: the determinism anchor (the trace hash and
   // the per-node delivery order are fixed here, before any parallelism
-  // starts).
+  // starts, so handlers may then consume their batches).
   for (const Message& m : deliveries_) absorb_trace(m);
   const std::size_t delivered = deliveries_.size();
   stats_.delivered += delivered;

@@ -7,18 +7,20 @@
 // paper would spend its engineering budget.
 //
 // Execution model: synchronous rounds (the paper's model, Section
-// I-C), each costing O(messages + active nodes) — an idle node costs
-// nothing.  Per round the runtime
+// I-C), each costing O(messages + active nodes) plus a scan of n/64
+// bitmap words — an idle node costs one bit.  Per round the runtime
 //   1. appends the delay-wheel releases due now to the flat inbox (all
 //      traffic for this round, in push order) and stably counting-sorts
 //      it by destination into one delivery buffer with CSR ranges,
 //   2. forms the active set — destinations plus nodes that asked for
-//      this round via Context::wake_at — in NodeId order, and folds the
-//      deliveries into the trace hash in that order,
-//   3. runs each active node's on_messages (its range) and
-//      on_round_end, in parallel over contiguous lanes of the active
-//      set on the persistent thread pool (a handler touches only its
-//      node and its lane's buffers),
+//      this round via Context::wake_at, marked in a per-node bitmap and
+//      read back in NodeId order — and folds the deliveries into the
+//      trace hash in that order,
+//   3. runs each active node's on_messages (its range, the node's to
+//      consume: moved-out or rewritten payloads cannot reach the trace
+//      or another node) and on_round_end, in parallel over contiguous
+//      lanes of the active set on the persistent thread pool (a handler
+//      touches only its node, its batch and its lane's buffers),
 //   4. routes the lanes' sends in node order through the delivery
 //      policy and fault plane into the next inbox or the delay wheel,
 //      and files their wake requests.
@@ -181,10 +183,11 @@ class Network {
 
   /// Move the inbox into `deliveries` grouped by destination (stable:
   /// each destination keeps push order), and set active_ to the
-  /// destinations merged with this round's wakes, in NodeId order.
+  /// destinations and this round's wakes, in NodeId order.
   void gather(std::vector<Message>& deliveries);
-  /// Run the handlers of active_[lane.begin, lane.end).
-  void run_lane(Lane& lane, const Message* deliveries);
+  /// Run the handlers of active_[lane.begin, lane.end); each node gets
+  /// its own range of `deliveries` to consume.
+  void run_lane(Lane& lane, Message* deliveries);
   /// Route every message out of `outbox` (delivery policy, inbox push
   /// or delay scheduling), then clear it with capacity kept.
   void route_outbox(std::vector<Message>& outbox);
@@ -215,15 +218,16 @@ class Network {
   std::vector<Lane> lanes_;
   /// This round's active nodes, in NodeId order.
   std::vector<Active> active_;
-  /// Counting-sort scratch: one counter per node, nonzero only for the
-  /// destinations in touched_ while gather() runs; order_ is the
+  /// Counting-sort scratch: one counter per node, nonzero only for
+  /// this round's destinations while gather() runs; order_ is the
   /// inbox permutation that groups messages by destination.
   std::vector<std::uint32_t> counts_;
-  std::vector<NodeId> touched_;
   std::vector<std::uint32_t> order_;
+  /// One bit per node, set by gather() for this round's destinations
+  /// and wakes and cleared by its NodeId-order scan.
+  std::vector<std::uint64_t> active_bits_;
   /// Wake requests by round (unsorted, possibly repeated).
   std::map<std::uint64_t, std::vector<NodeId>> wakes_;
-  std::vector<NodeId> due_;
   /// Delay wheel: slot r % size holds the messages released in round
   /// r.  Sized (longest delay + 1), grown on demand; slots are reused,
   /// so retained memory tracks the peak delayed traffic of one round.

@@ -10,6 +10,13 @@
 // for the round with Context::wake_at, so a node that keeps time must
 // request its next wake: one that ticks every round calls
 // `wake_at(round + 1)` from on_start and from on_round_end.
+//
+// Ownership: a round's deliveries belong to their destination for
+// that round.  on_messages receives them as a mutable span; a node
+// may move a payload out (to forward or answer with the same block)
+// or overwrite it, because the network folded the batch into the
+// trace hash before handlers run, no other node sees it, and it is
+// discarded when the next round starts.
 #pragma once
 
 #include <cstdint>
@@ -73,12 +80,10 @@ class Node {
 
   /// Called once per active round with the node's whole delivery
   /// batch, in arrival order (empty when only a wake made the node
-  /// active).  The default forwards to on_message one by one; nodes
-  /// that can amortize work across the batch (e.g. evaluating all
-  /// fresh route requests in one route_many pass)
-  /// override this and MUST preserve per-message semantics and send
-  /// order, so traces stay byte-identical.
-  virtual void on_messages(std::span<const Message> batch, Context& ctx) {
+  /// active).  The batch is the node's to consume (see above): the
+  /// workload's group nodes rewrite each request in place and move it
+  /// into ctx.send.  The default hands each message to on_message.
+  virtual void on_messages(std::span<Message> batch, Context& ctx) {
     for (const Message& m : batch) on_message(m, ctx);
   }
 

@@ -16,8 +16,8 @@ namespace tg::net {
 
 /// Small-buffer-optimized u64 sequence: the payload type of
 /// `net::Message`.  Supports the subset of the std::vector interface
-/// the protocols use (iteration, front/back, push_back, operator==,
-/// brace-init), so migrated call sites stay mechanical.
+/// the protocols use (iteration, front/back, push_back, resize,
+/// operator==, brace-init), so migrated call sites stay mechanical.
 class Words {
  public:
   using value_type = std::uint64_t;
@@ -105,6 +105,17 @@ class Words {
 
   void reserve(std::size_t capacity) {
     if (capacity > capacity_) grow_exact(capacity);
+  }
+
+  /// Set the size to `count` words.  Shrinking keeps the storage (a
+  /// spill block stays); growing past the capacity reallocates like
+  /// reserve.  Added words are zero.
+  void resize(std::size_t count) {
+    reserve(count);
+    if (count > size_) {
+      std::memset(data_ + size_, 0, (count - size_) * sizeof(std::uint64_t));
+    }
+    size_ = static_cast<std::uint32_t>(count);
   }
 
   /// Drop the contents; capacity (and the spill block) is kept.

@@ -33,27 +33,24 @@ Route InputGraph::route(std::size_t start, RingPoint key) const {
   return r;
 }
 
-namespace {
-
-/// Per-route telemetry: route + failure counters plus the hop
-/// histogram (successful routes only; failures carry no meaningful
-/// hop count).  Counts are pure functions of the queries, so they are
-/// identical at any executor width.
-inline void record_route(telemetry::Session& session, const Route& r) {
+// Counts are pure functions of the queries, so they are identical at
+// any executor width; a failed route carries no meaningful hop count.
+void record_route(telemetry::Session& session, bool routed,
+                  std::size_t hops) {
   session.count(telemetry::Probe::overlay_routes);
-  if (r.ok) {
-    session.sample(telemetry::Probe::overlay_hops, r.hops());
+  if (routed) {
+    session.sample(telemetry::Probe::overlay_hops, hops);
   } else {
     session.count(telemetry::Probe::overlay_route_failures);
   }
 }
 
-}  // namespace
-
 void InputGraph::route_into(Route& out, std::size_t start,
                             RingPoint key) const {
   route_unrecorded(out, start, key);
-  if (auto* session = telemetry::active()) record_route(*session, out);
+  if (auto* session = telemetry::active()) {
+    record_route(*session, out.ok, out.hops());
+  }
 }
 
 void InputGraph::route_unrecorded(Route& out, std::size_t start,
@@ -72,7 +69,9 @@ void InputGraph::route_many(const RouteQuery* queries, std::size_t count,
     route_indexed(out[q], queries[q].start, queries[q].key);
   }
   if (auto* session = telemetry::active()) {
-    for (std::size_t q = 0; q < count; ++q) record_route(*session, out[q]);
+    for (std::size_t q = 0; q < count; ++q) {
+      record_route(*session, out[q].ok, out[q].hops());
+    }
   }
 }
 

@@ -30,6 +30,10 @@
 
 #include "idspace/ring_table.hpp"
 
+namespace tg::telemetry {
+class Session;
+}
+
 namespace tg::overlay {
 
 using ids::Arc;
@@ -152,6 +156,12 @@ struct Route {
   }
 };
 
+/// Per-route telemetry: the route and failure counters plus the hop
+/// histogram (successful routes only).  route_into and route_many
+/// record every route they evaluate; a caller of route_unrecorded
+/// that holds the session already records the routes it keeps here.
+void record_route(telemetry::Session& session, bool routed, std::size_t hops);
+
 /// One (start, key) pair of a route_many batch.
 struct RouteQuery {
   std::size_t start = 0;
@@ -183,9 +193,10 @@ class InputGraph {
   /// warm `out` (capacity from earlier routes) is reused verbatim.
   void route_into(Route& out, std::size_t start, RingPoint key) const;
 
-  /// route_into without telemetry, for routes whose result may be
-  /// thrown away (the epoch builder's speculative searches on pool
-  /// workers); the caller records the routes it keeps.
+  /// route_into without telemetry, for callers that record the routes
+  /// they keep through record_route: the epoch builder (its
+  /// speculative searches on pool workers may be thrown away) and the
+  /// workload's entry groups (which already hold the session).
   void route_unrecorded(Route& out, std::size_t start, RingPoint key) const;
 
   /// Batch evaluation: route every query.  `out` entries are reused

@@ -27,12 +27,16 @@ constexpr std::uint64_t kStatusOk = 0;
 constexpr std::uint64_t kStatusFailed = 1;
 constexpr std::uint64_t kStatusCorrupted = 2;
 
-// Request payload layout (reply layout: op_id, status, value).  The
-// hop-count word is kFreshRequest on client-sent requests; the ENTRY
-// group computes the H route once and embeds the remaining hop chain
-// (matching the paper's search semantics — the route is fixed by the
-// start, evaluated group by group; per-hop re-routing would loop on
-// source-path overlays like de Bruijn).
+// Request payload layout (reply layout: op_id, status, value), each
+// followed by the padding.  The hop-count word is kFreshRequest on
+// client-sent requests; the ENTRY group computes the H route once and
+// embeds the remaining hop chain (matching the paper's search
+// semantics — the route is fixed by the start, evaluated group by
+// group; per-hop re-routing would loop on source-path overlays like
+// de Bruijn).  One block carries an op from issue to reply: the entry
+// group grows it for the chain, every later hop shifts the chain one
+// word left, and the owner shrinks it into the reply, each rewriting
+// the padding at its new offset.
 enum : std::size_t {
   kReqOpId = 0,
   kReqReplyTo = 1,
@@ -44,103 +48,80 @@ enum : std::size_t {
 };
 constexpr std::uint64_t kFreshRequest = ~std::uint64_t{0};
 
-void pad_payload(net::Words& payload, std::uint64_t op_id,
+/// Size `payload` to `offset` words plus the padding and write the
+/// padding there: synthetic certificate words (cf. RelayMember),
+/// deterministic filler the trace hash covers.  Word i is a function
+/// of the op id alone, so a payload rewritten in place at a new
+/// offset equals one built from scratch.
+void pad_payload(net::Words& payload, std::size_t offset, std::uint64_t op_id,
                  std::size_t padding_words) {
-  // Synthetic certificate words (cf. RelayMember): deterministic
-  // filler so the trace hash covers them.
+  payload.resize(offset + padding_words);
   for (std::size_t i = 0; i < padding_words; ++i) {
-    payload.push_back(mix64(op_id + i + 1));
+    payload[offset + i] = mix64(op_id + i + 1);
   }
 }
 
 void send_request(net::Context& ctx, net::NodeId dst, const Operation& op,
                   std::uint64_t op_id, net::NodeId reply_to,
                   std::size_t padding_words) {
-  net::Words payload;
-  payload.reserve(kReqHops + padding_words);
-  payload.push_back(op_id);
-  payload.push_back(reply_to);
-  payload.push_back(static_cast<std::uint64_t>(op.kind));
-  payload.push_back(op.key.raw());
-  payload.push_back(op.value);
-  payload.push_back(kFreshRequest);
-  pad_payload(payload, op_id, padding_words);
+  net::Words payload{op_id,
+                     reply_to,
+                     static_cast<std::uint64_t>(op.kind),
+                     op.key.raw(),
+                     op.value,
+                     kFreshRequest};
+  pad_payload(payload, kReqHops, op_id, padding_words);
   ctx.send(dst, kTagRequest, std::move(payload));
 }
 
 /// One group's collective actor: forwards requests along the overlay
 /// route, executes ops when responsible, and embodies the red-group
 /// hazard (silent drop en route, garbage service when responsible).
+/// A request's payload block travels with it: each hop rewrites the
+/// delivered payload in place and moves it on, and the owner turns
+/// the same block into the reply.
 class GroupNode final : public net::Node {
  public:
   GroupNode(std::size_t index, Service& service, std::size_t padding_words)
       : index_(index), service_(&service), padding_words_(padding_words) {}
 
   void on_message(const net::Message& m, net::Context& ctx) override {
-    handle(m, ctx, nullptr);
+    net::Message copy = m;
+    on_messages({&copy, 1}, ctx);
   }
 
-  /// Batch hook: route every fresh request in the round's delivery
-  /// batch in ONE route_many pass, then replay the messages in arrival
-  /// order with their pre-computed routes.
-  /// Candidate detection is side-effect-free (red/responsible checks
-  /// only read immutable world state), so semantics, send order and
-  /// traces are byte-identical to the per-message path.
-  void on_messages(std::span<const net::Message> batch,
+  void on_messages(std::span<net::Message> batch,
                    net::Context& ctx) override {
-    const World& world = service_->world();
-    queries_.clear();
-    query_msg_.clear();
-    if (!world.is_red(index_)) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const net::Message& m = batch[i];
-        if (m.tag != kTagRequest || m.payload.size() < kReqHops) continue;
-        if (m.payload[kReqHopCount] != kFreshRequest) continue;
-        const ids::RingPoint key{m.payload[kReqKey]};
-        if (world.responsible(key) == index_) continue;
-        queries_.push_back(overlay::RouteQuery{index_, key});
-        query_msg_.push_back(i);
-      }
-    }
-    if (!queries_.empty()) {
-      if (routes_.size() < queries_.size()) routes_.resize(queries_.size());
-      world.route_many(queries_.data(), queries_.size(), routes_.data());
-    }
-    std::size_t next_q = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const overlay::Route* prerouted = nullptr;
-      if (next_q < query_msg_.size() && query_msg_[next_q] == i) {
-        prerouted = &routes_[next_q];
-        ++next_q;
-      }
-      handle(batch[i], ctx, prerouted);
-    }
+    // One guard per batch; the events below are pure functions of the
+    // (deterministic) delivery stream, so counts and traces are
+    // identical at any executor width.
+    telemetry::Session* const telem = telemetry::active();
+    for (net::Message& m : batch) handle(m, ctx, telem);
+  }
+
+  [[nodiscard]] std::uint64_t analytic_messages() const noexcept {
+    return analytic_messages_;
   }
 
  private:
-  void handle(const net::Message& m, net::Context& ctx,
-              const overlay::Route* prerouted) {
-    if (m.tag != kTagRequest || m.payload.size() < kReqHops) return;
+  void handle(net::Message& m, net::Context& ctx, telemetry::Session* telem) {
+    net::Words& payload = m.payload;
+    if (m.tag != kTagRequest || payload.size() < kReqHops) return;
     const World& world = service_->world();
     Operation op;
-    op.kind = static_cast<OpKind>(m.payload[kReqKind]);
-    op.key = ids::RingPoint{m.payload[kReqKey]};
-    op.value = m.payload[kReqValue];
-    const std::uint64_t op_id = m.payload[kReqOpId];
-    const auto reply_to = static_cast<net::NodeId>(m.payload[kReqReplyTo]);
+    op.kind = static_cast<OpKind>(payload[kReqKind]);
+    op.key = ids::RingPoint{payload[kReqKey]};
+    op.value = payload[kReqValue];
+    const std::uint64_t op_id = payload[kReqOpId];
+    const auto reply_to = static_cast<net::NodeId>(payload[kReqReplyTo]);
 
     // All-to-all accounting: a group-to-group hop costs |G_a| x |G_b|.
     if (m.src < world.groups()) {
       analytic_messages_ += world.pair_messages(m.src, index_);
     }
 
-    // One guard per request message; the events below are pure
-    // functions of the (deterministic) delivery stream, so counts and
-    // traces are identical at any executor width.
-    telemetry::Session* const telem = telemetry::active();
     const auto src_group =
         telemetry::kSrcGroup + static_cast<std::uint32_t>(index_);
-
     const bool responsible = world.responsible(op.key) == index_;
     if (world.is_red(index_)) {
       if (!responsible) {
@@ -152,7 +133,7 @@ class GroupNode final : public net::Node {
         return;  // the search dies here; client times out
       }
       // Adversary-controlled owner: serve garbage.
-      reply(ctx, reply_to, op_id, kStatusCorrupted, ~op.value);
+      reply(ctx, reply_to, std::move(payload), kStatusCorrupted, ~op.value);
       analytic_messages_ += world.composition(index_).size;
       if (telem != nullptr) {
         telem->event(telemetry::EventName::op_serve, src_group, 'n', op_id,
@@ -162,8 +143,8 @@ class GroupNode final : public net::Node {
     }
     if (responsible) {
       const Execution exec = service_->execute(op, index_);
-      reply(ctx, reply_to, op_id, exec.ok ? kStatusOk : kStatusFailed,
-            exec.value);
+      reply(ctx, reply_to, std::move(payload),
+            exec.ok ? kStatusOk : kStatusFailed, exec.value);
       // Each member returns its copy for majority filtering.
       analytic_messages_ += world.composition(index_).size;
       if (telem != nullptr) {
@@ -174,42 +155,42 @@ class GroupNode final : public net::Node {
     }
 
     // Forward along the hop chain; the entry group establishes it.
-    net::Words payload;
-    payload.reserve(m.payload.size());
-    for (std::size_t i = 0; i < kReqHopCount; ++i) {
-      payload.push_back(m.payload[i]);
-    }
     std::size_t next;
-    if (m.payload[kReqHopCount] == kFreshRequest) {
-      const overlay::Route* route = prerouted;
-      if (route == nullptr) {
-        world.route_into(route_scratch_, index_, op.key);
-        route = &route_scratch_;
+    std::size_t chain;  // hop words after the next hop
+    if (payload[kReqHopCount] == kFreshRequest) {
+      // One scratch route per executor thread: handlers on a thread
+      // run one at a time, and the route is consumed right here.
+      thread_local overlay::Route route;
+      world.topology().route_unrecorded(route, index_, op.key);
+      if (telem != nullptr) {
+        overlay::record_route(*telem, route.ok, route.hops());
       }
-      if (!route->ok || route->path.size() < 2) return;  // routing dead end
-      next = route->path[1];
-      payload.push_back(route->path.size() - 2);
-      for (std::size_t i = 2; i < route->path.size(); ++i) {
-        payload.push_back(route->path[i]);
+      if (!route.ok || route.path.size() < 2) return;  // routing dead end
+      next = route.path[1];
+      chain = route.path.size() - 2;
+      payload.resize(kReqHops + chain + padding_words_);  // one regrowth
+      for (std::size_t i = 0; i < chain; ++i) {
+        payload[kReqHops + i] = route.path[i + 2];
       }
       if (telem != nullptr) {
         // Entry group: the op's full hop chain is fixed here.
         telem->event(telemetry::EventName::op_route, src_group, 'n', op_id,
-                     /*a=*/index_, /*b=*/route->path.size() - 1);
+                     /*a=*/index_, /*b=*/route.path.size() - 1);
       }
     } else {
-      const std::uint64_t remaining = m.payload[kReqHopCount];
-      if (remaining == 0 || m.payload.size() < kReqHops + remaining) {
+      const std::uint64_t remaining = payload[kReqHopCount];
+      if (remaining == 0 || remaining > payload.size() - kReqHops) {
         return;  // chain exhausted without reaching the owner
       }
-      next = static_cast<std::size_t>(m.payload[kReqHops]);
-      payload.push_back(remaining - 1);
-      for (std::size_t i = 1; i < remaining; ++i) {
-        payload.push_back(m.payload[kReqHops + i]);
-      }
+      next = static_cast<std::size_t>(payload[kReqHops]);
+      chain = static_cast<std::size_t>(remaining) - 1;
+      std::copy(payload.begin() + kReqHops + 1,
+                payload.begin() + kReqHops + 1 + chain,
+                payload.begin() + kReqHops);
     }
     if (next >= world.groups()) return;  // malformed hop
-    pad_payload(payload, op_id, padding_words_);
+    payload[kReqHopCount] = chain;
+    pad_payload(payload, kReqHops + chain, op_id, padding_words_);
     if (telem != nullptr) {
       telem->event(telemetry::EventName::op_hop, src_group, 'n', op_id,
                    /*a=*/index_, /*b=*/next);
@@ -217,20 +198,14 @@ class GroupNode final : public net::Node {
     ctx.send(static_cast<net::NodeId>(next), kTagRequest, std::move(payload));
   }
 
- public:
-  [[nodiscard]] std::uint64_t analytic_messages() const noexcept {
-    return analytic_messages_;
-  }
-
- private:
-  void reply(net::Context& ctx, net::NodeId reply_to, std::uint64_t op_id,
+  /// Turn a request payload into the reply (op_id, status, value,
+  /// padding): the op id already sits in word 0.
+  void reply(net::Context& ctx, net::NodeId reply_to, net::Words&& payload,
              std::uint64_t status, std::uint64_t value) {
-    net::Words payload;
-    payload.reserve(3 + padding_words_);
-    payload.push_back(op_id);
-    payload.push_back(status);
-    payload.push_back(value);
-    pad_payload(payload, op_id, padding_words_);
+    const std::uint64_t op_id = payload[kReqOpId];
+    payload[1] = status;
+    payload[2] = value;
+    pad_payload(payload, 3, op_id, padding_words_);
     ctx.send(reply_to, kTagReply, std::move(payload));
   }
 
@@ -238,12 +213,6 @@ class GroupNode final : public net::Node {
   Service* service_;
   std::size_t padding_words_;
   std::uint64_t analytic_messages_ = 0;
-  // Routing scratch, reused round over round (handlers of one node
-  // never run concurrently): allocation-free steady-state forwarding.
-  overlay::Route route_scratch_;
-  std::vector<overlay::RouteQuery> queries_;
-  std::vector<std::size_t> query_msg_;
-  std::vector<overlay::Route> routes_;
 };
 
 /// Shared issuing machinery: op numbering, start-group selection

@@ -5,7 +5,9 @@
 // group-to-group along the overlay route toward the key's responsible
 // group (one node per group — the group's collective actor), which
 // executes the op against the service's per-group state and replies
-// to the issuing client node.  Red groups on the route silently drop
+// to the issuing client node.  Each group rewrites the request it was
+// delivered in place and moves it on, so one payload block serves the
+// whole route and the reply.  Red groups on the route silently drop
 // the request (the Section II search semantics: the search dies at
 // the first red group), so the client times out; a red RESPONSIBLE
 // group serves garbage, which the harness flags as a corrupted reply.

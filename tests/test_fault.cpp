@@ -376,6 +376,17 @@ TEST(FaultEngine, ChaosWithRetriesBitIdenticalAcrossThreadCounts) {
   };
   const auto one = run_once(1);
   const auto four = run_once(4);
+  // Pinned too, so a change that alters both widths alike is caught;
+  // recorded while every hop still rebuilt its payload.
+  EXPECT_EQ(one.trace_hash, 0x1b16009f14b0c74bULL);
+  EXPECT_EQ(one.recorder.issued, 128u);
+  EXPECT_EQ(one.recorder.completed, 126u);
+  EXPECT_EQ(one.recorder.timed_out, 2u);
+  EXPECT_EQ(one.recorder.retries, 20u);
+  EXPECT_EQ(one.recorder.hedges, 50u);
+  EXPECT_EQ(one.recorder.stale_replies, 29u);
+  EXPECT_EQ(one.net.delivered, 813u);
+  EXPECT_EQ(one.net.fault_duplicated, 29u);
   EXPECT_EQ(one.trace_hash, four.trace_hash);
   EXPECT_EQ(one.recorder.completed, four.recorder.completed);
   EXPECT_EQ(one.recorder.timed_out, four.recorder.timed_out);

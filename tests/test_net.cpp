@@ -4,6 +4,10 @@
 // the Fig. 1 relay chain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
+#include <tuple>
 #include <utility>
 
 #include "net/network.hpp"
@@ -336,7 +340,7 @@ class CountingNode final : public Node {
       : starts_(starts), turns_(turns) {}
   void on_start(Context&) override { ++*starts_; }
   void on_message(const Message&, Context&) override {}
-  void on_messages(std::span<const Message>, Context&) override {
+  void on_messages(std::span<Message>, Context&) override {
     ++*turns_;
   }
   void on_round_end(Context&) override { ++*turns_; }
@@ -376,7 +380,7 @@ class WakePlanNode final : public Node {
     ctx.wake_at(5);
   }
   void on_message(const Message&, Context&) override {}
-  void on_messages(std::span<const Message> batch, Context& ctx) override {
+  void on_messages(std::span<Message> batch, Context& ctx) override {
     batches.emplace_back(ctx.round(), batch.size());
   }
   void on_round_end(Context& ctx) override {
@@ -395,20 +399,158 @@ class WakePlanNode final : public Node {
 };
 
 TEST(SparseEngine, WakeAtFiresExactlyAtRequestedRounds) {
-  Network net(DeliveryPolicy{}, 1, 1);
-  net.add_node(std::make_unique<RecorderNode>());
-  const NodeId w = net.add_node(std::make_unique<WakePlanNode>());
-  net.start();
-  for (int r = 1; r <= 12; ++r) {
-    // A delivery in a wake round runs the node once, not twice.
-    if (r == 7) net.inject(Message{0, w, 1, {}, 0});  // delivered in 7
-    net.run_round();
+  // The waking node sits at either end of the node range and on both
+  // sides of a 64-bit word of the active bitmap, in networks of 1, 2
+  // and 65 nodes; every other node only records.
+  const std::pair<std::size_t, NodeId> shapes[] = {
+      {1, 0}, {2, 1}, {65, 0}, {65, 63}, {65, 64}};
+  for (const auto& [n, w] : shapes) {
+    Network net(DeliveryPolicy{}, 1, 1);
+    for (NodeId i = 0; i < n; ++i) {
+      if (i == w) {
+        net.add_node(std::make_unique<WakePlanNode>());
+      } else {
+        net.add_node(std::make_unique<RecorderNode>());
+      }
+    }
+    net.start();
+    for (int r = 1; r <= 12; ++r) {
+      // A delivery in a wake round runs the node once, not twice.
+      if (r == 7) net.inject(Message{0, w, 1, {}, 0});  // delivered in 7
+      net.run_round();
+    }
+    const auto& node = dynamic_cast<WakePlanNode&>(net.node(w));
+    EXPECT_EQ(node.turns, (std::vector<std::uint64_t>{3, 5, 7, 9}))
+        << n << " nodes, waker " << w;
+    const std::vector<std::pair<std::uint64_t, std::size_t>> batches{
+        {3, 0}, {5, 0}, {7, 1}, {9, 0}};
+    EXPECT_EQ(node.batches, batches) << n << " nodes, waker " << w;
   }
-  const auto& node = dynamic_cast<WakePlanNode&>(net.node(w));
-  EXPECT_EQ(node.turns, (std::vector<std::uint64_t>{3, 5, 7, 9}));
-  const std::vector<std::pair<std::uint64_t, std::size_t>> batches{
-      {3, 0}, {5, 0}, {7, 1}, {9, 0}};
-  EXPECT_EQ(node.batches, batches);
+}
+
+/// One handler turn: its round, its node and its batch's tags.
+struct Turn {
+  std::uint64_t round = 0;
+  NodeId node = 0;
+  std::vector<std::uint64_t> tags;
+  std::uint64_t seq = 0;  ///< global turn number (not compared)
+
+  friend bool operator==(const Turn& a, const Turn& b) {
+    return a.round == b.round && a.node == b.node && a.tags == b.tags;
+  }
+  friend void PrintTo(const Turn& t, std::ostream* os) {
+    *os << "{round " << t.round << ", node " << t.node << ", tags "
+        << ::testing::PrintToString(t.tags) << "}";
+  }
+};
+
+/// Logs every turn into its own list (numbered from a shared
+/// counter), wakes in the rounds it is given, and answers a round-1
+/// batch with one message to its mirror node n - 1 - self.
+class TurnLogNode final : public Node {
+ public:
+  TurnLogNode(std::atomic<std::uint64_t>* seq, NodeId mirror,
+              std::vector<std::uint64_t> wakes)
+      : seq_(seq), mirror_(mirror), wakes_(std::move(wakes)) {}
+  void on_start(Context& ctx) override {
+    for (const std::uint64_t r : wakes_) ctx.wake_at(r);
+  }
+  void on_message(const Message&, Context&) override {}
+  void on_messages(std::span<Message> batch, Context& ctx) override {
+    Turn turn{ctx.round(), ctx.self(), {}, seq_->fetch_add(1)};
+    for (const Message& m : batch) turn.tags.push_back(m.tag);
+    if (ctx.round() == 1 && !batch.empty()) {
+      ctx.send(mirror_, 5000 + ctx.self());
+    }
+    turns.push_back(std::move(turn));
+  }
+
+  std::vector<Turn> turns;
+
+ private:
+  std::atomic<std::uint64_t>* seq_;
+  NodeId mirror_;
+  std::vector<std::uint64_t> wakes_;
+};
+
+TEST(SparseEngine, ActiveSetFollowsNodeIdAcrossBitmapWords) {
+  // The boundary nodes 0, 63, 64 and n - 1 get two injected messages
+  // each (injected in descending order) for round 1 and wake in rounds
+  // 2 and 3.  Round 2 adds the mirror nodes' deliveries to the
+  // wake-only turns; round 3 adds deliveries to nodes 0 and n - 1,
+  // which also wake then.  Every active node runs exactly once per
+  // round, in NodeId order, with its batch in push order.
+  for (const std::size_t n : {1u, 65u, 130u}) {
+    std::vector<NodeId> boundary;
+    for (const std::size_t id : {std::size_t{0}, std::size_t{63},
+                                 std::size_t{64}, n - 1}) {
+      if (id < n && std::find(boundary.begin(), boundary.end(), id) ==
+                        boundary.end()) {
+        boundary.push_back(static_cast<NodeId>(id));
+      }
+    }
+    std::sort(boundary.begin(), boundary.end());
+    const auto last = static_cast<NodeId>(n - 1);
+
+    // The expected turns, round by round, from a map keyed by node.
+    std::vector<Turn> want;
+    const auto emit = [&](std::uint64_t round,
+                          std::map<NodeId, std::vector<std::uint64_t>> by) {
+      for (auto& [node, tags] : by) want.push_back({round, node, tags});
+    };
+    std::map<NodeId, std::vector<std::uint64_t>> round1, round2, round3;
+    for (const NodeId b : boundary) {
+      round1[b] = {1000 + b, 2000 + b};
+      round2[b];
+      round3[b];
+    }
+    for (const NodeId b : boundary) round2[last - b].push_back(5000 + b);
+    round3[last].push_back(3000);
+    round3[0].push_back(3001);
+    emit(1, round1);
+    emit(2, round2);
+    emit(3, round3);
+
+    for (const std::size_t threads : {1u, 4u}) {
+      std::atomic<std::uint64_t> seq{0};
+      Network net(DeliveryPolicy{}, 1, threads);
+      for (NodeId i = 0; i < n; ++i) {
+        const bool wakes = std::find(boundary.begin(), boundary.end(), i) !=
+                           boundary.end();
+        net.add_node(std::make_unique<TurnLogNode>(
+            &seq, last - i,
+            wakes ? std::vector<std::uint64_t>{2, 3}
+                  : std::vector<std::uint64_t>{}));
+      }
+      net.start();
+      for (auto it = boundary.rbegin(); it != boundary.rend(); ++it) {
+        net.inject(Message{0, *it, 1000 + *it, {}, 0});
+        net.inject(Message{0, *it, 2000 + *it, {}, 0});
+      }
+      EXPECT_EQ(net.run_round(), 2 * boundary.size());
+      EXPECT_EQ(net.run_round(), boundary.size());
+      net.inject(Message{0, last, 3000, {}, 0});
+      net.inject(Message{0, 0, 3001, {}, 0});
+      EXPECT_EQ(net.run_round(), 2u);
+      EXPECT_EQ(net.run_round(), 0u);
+
+      std::vector<Turn> got;
+      for (NodeId i = 0; i < n; ++i) {
+        const auto& turns = dynamic_cast<TurnLogNode&>(net.node(i)).turns;
+        got.insert(got.end(), turns.begin(), turns.end());
+      }
+      // One thread runs the turns in activation order; at four the
+      // lanes interleave, so only each node's own turns are ordered.
+      const auto key = [threads](const Turn& t) {
+        return threads == 1 ? std::make_pair(t.seq, std::uint64_t{0})
+                            : std::make_pair(t.round, std::uint64_t{t.node});
+      };
+      std::sort(got.begin(), got.end(), [&](const Turn& a, const Turn& b) {
+        return key(a) < key(b);
+      });
+      EXPECT_EQ(got, want) << n << " nodes, " << threads << " threads";
+    }
+  }
 }
 
 /// Deterministic fault plane keyed by message sequence number only:
@@ -608,6 +750,91 @@ TEST(SparseEngine, DelayWheelGrowsWithoutMovingPendingMessages) {
     const std::vector<std::pair<std::uint64_t, std::uint64_t>> want{
         {1 + d, 1}, {2 + d, 2}};
     EXPECT_EQ(got, want) << "delay " << d;
+  }
+}
+
+/// Sends to the relays 4..7 in rounds 1..6: payloads of 3 words
+/// (inline) and 9 words (spilled), alternating by round.
+class PayloadSource final : public Node {
+ public:
+  void on_start(Context& ctx) override { ctx.wake_at(1); }
+  void on_message(const Message&, Context&) override {}
+  void on_round_end(Context& ctx) override {
+    const std::size_t words = ctx.round() % 2 == 0 ? 3 : 9;
+    Words payload;
+    for (std::size_t i = 0; i < words; ++i) {
+      payload.push_back(ctx.self() * 1000 + ctx.round() * 10 + i);
+    }
+    ctx.send(static_cast<NodeId>(4 + (ctx.self() + ctx.round()) % 4),
+             ctx.round(), std::move(payload));
+    if (ctx.round() < 6) ctx.wake_at(ctx.round() + 1);
+  }
+};
+
+/// How a relay treats the batch it forwards to the sinks 8..11.
+enum class RelayMode { copy, move, mutate };
+
+/// Forwards every delivery to sink 8 + (self + tag) % 4: by copy (the
+/// const on_message default), by moving the payload out of the batch,
+/// or by copy and then overwriting and shrinking the delivered one.
+class BatchRelay final : public Node {
+ public:
+  explicit BatchRelay(RelayMode mode) : mode_(mode) {}
+  void on_message(const Message& m, Context& ctx) override {
+    ctx.send(sink(m, ctx), m.tag, m.payload);
+  }
+  void on_messages(std::span<Message> batch, Context& ctx) override {
+    if (mode_ == RelayMode::copy) {
+      Node::on_messages(batch, ctx);
+      return;
+    }
+    for (Message& m : batch) {
+      if (mode_ == RelayMode::move) {
+        ctx.send(sink(m, ctx), m.tag, std::move(m.payload));
+        continue;
+      }
+      ctx.send(sink(m, ctx), m.tag, m.payload);
+      for (auto& word : m.payload) word = ~word;
+      m.payload.resize(1);
+    }
+  }
+
+ private:
+  static NodeId sink(const Message& m, const Context& ctx) {
+    return static_cast<NodeId>(8 + (ctx.self() + m.tag) % 4);
+  }
+  RelayMode mode_;
+};
+
+TEST(SparseEngine, ConsumedBatchesLeaveTraceAndOtherNodesUnchanged) {
+  // A relay may move payloads out of its batch or overwrite them: the
+  // trace hash was taken before handlers ran, and a fault duplicate is
+  // its own deep copy, so neither the trace nor what the sinks receive
+  // may change, at any executor width.
+  const SeqFaults faults;  // duplicates, reorders and delays
+  const auto run = [&](RelayMode mode, std::size_t threads) {
+    Network net(DeliveryPolicy{}, 1, threads);
+    for (int i = 0; i < 4; ++i) net.add_node(std::make_unique<PayloadSource>());
+    for (int i = 0; i < 4; ++i) net.add_node(std::make_unique<BatchRelay>(mode));
+    for (int i = 0; i < 4; ++i) net.add_node(std::make_unique<RecorderNode>());
+    net.set_fault_injector(&faults);
+    net.start();
+    for (int r = 0; r < 12; ++r) net.run_round();
+    std::vector<std::vector<std::pair<std::uint64_t, Message>>> sinks;
+    for (NodeId d = 8; d < 12; ++d) {
+      sinks.push_back(dynamic_cast<RecorderNode&>(net.node(d)).received);
+    }
+    return std::make_tuple(net.trace_hash(), net.stats().delivered, sinks);
+  };
+  const auto reference = run(RelayMode::copy, 1);
+  EXPECT_GT(std::get<1>(reference), 48u);  // duplicates add deliveries
+  for (const RelayMode mode :
+       {RelayMode::copy, RelayMode::move, RelayMode::mutate}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      EXPECT_EQ(run(mode, threads), reference)
+          << "mode " << static_cast<int>(mode) << ", " << threads
+          << " threads";
+    }
   }
 }
 

@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/scenario.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/engine.hpp"
 #include "workload/histogram.hpp"
 #include "workload/service.hpp"
@@ -236,8 +238,17 @@ TEST(WorkloadEngine, KvTrafficIsPinned) {
     std::size_t padding;
     std::uint64_t trace;
   };
+  // Paddings 0, 1, 5 and 24 were added later, recorded while every hop
+  // still rebuilt its payload.  At 0 a request is inline at the issuer
+  // and spills once the entry group adds the hop chain, at 1 it spills
+  // at the issuer, and at both the reply fits inline (3 or 4 words);
+  // at 5 and 24 every message spills.
   for (const Pin pin : {Pin{4, 0xee64938e2c9961b0ULL},
-                        Pin{12, 0xb42b50e57befe803ULL}}) {
+                        Pin{12, 0xb42b50e57befe803ULL},
+                        Pin{0, 0x1735a007fcc9ab36ULL},
+                        Pin{1, 0x8d5d01906e74c704ULL},
+                        Pin{5, 0xefd0685ead3a5876ULL},
+                        Pin{24, 0x94fee7f71c7cd977ULL}}) {
     Rng rng(31);
     const World world = workload::world_for_trial(spec, false, rng);
     const auto svc =
@@ -248,6 +259,62 @@ TEST(WorkloadEngine, KvTrafficIsPinned) {
     EXPECT_EQ(run.trace_hash, pin.trace) << pin.padding;
     EXPECT_EQ(run.recorder.completed, 117u) << pin.padding;
     EXPECT_EQ(run.net.delivered, 825u) << pin.padding;
+  }
+}
+
+std::uint64_t text_digest(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(WorkloadEngine, RedHeavyKvTrafficIsPinned) {
+  // Six of 16 groups are red: requests die at red hop groups and red
+  // owners serve corrupted replies, so both red paths see every
+  // payload shape.  Recorded with a session bound (its metrics and
+  // trace exports count the red drops and the corrupted serves) while
+  // every hop still rebuilt its payload; padding 0 keeps requests
+  // inline at the issuer, 12 spills them.
+  std::vector<baseline::GroupComposition> regions(16);
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    regions[i].size = 9;
+    regions[i].bad = i % 8 < 3 ? 6 : 1;
+  }
+  const World world = World::from_regions(std::move(regions));
+  ASSERT_DOUBLE_EQ(world.red_fraction(), 6.0 / 16.0);
+  struct Pin {
+    std::size_t padding;
+    std::uint64_t trace, metrics, events;
+  };
+  for (const Pin pin :
+       {Pin{0, 0x36141aafe4ec74ccULL, 0x51f4873e8245da69ULL,
+            0xb46d5a6fc220d177ULL},
+        Pin{12, 0x8239ee26faf67cc8ULL, 0xba1fce01aa961431ULL,
+            0x4fd927724cfeaa7eULL}}) {
+    KvService service(world, 64, /*salt=*/5);
+    workload::Spec spec;
+    spec.rate = 3.0;
+    spec.rounds = 64;
+    spec.timeout_rounds = 16;
+    spec.padding_words = pin.padding;
+    telemetry::Session session;
+    telemetry::set_active(&session);
+    const auto run = workload::run(service, spec, 41, 1);
+    telemetry::set_active(nullptr);
+    EXPECT_EQ(run.trace_hash, pin.trace) << pin.padding;
+    EXPECT_EQ(text_digest(session.metrics_json()), pin.metrics)
+        << pin.padding;
+    EXPECT_EQ(text_digest(session.chrome_trace_json()), pin.events)
+        << pin.padding;
+    EXPECT_EQ(run.recorder.completed, 23u) << pin.padding;
+    EXPECT_EQ(run.recorder.failed, 24u) << pin.padding;
+    EXPECT_EQ(run.recorder.timed_out, 145u) << pin.padding;
+    EXPECT_EQ(run.net.delivered, 511u) << pin.padding;
+    EXPECT_GT(session.metrics().counter(telemetry::Probe::workload_red_drops),
+              0u);
   }
 }
 
