@@ -49,7 +49,7 @@ int main() {
     for (std::size_t epoch = 1; epoch <= 5; ++epoch) {
       generations.push_back(builder.build_next(generations.back(), rng,
                                                nullptr));
-      const auto rep = store.handoff(generations.back(), rng);
+      const auto rep = store.handoff(generations.back());
       t.add_row({static_cast<std::uint64_t>(epoch),
                  static_cast<std::uint64_t>(rep.items_after), rep.retention(),
                  static_cast<std::uint64_t>(rep.lost_bad_owner),

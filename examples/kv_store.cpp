@@ -56,7 +56,7 @@ int main() {
             << r.latency.p90() << "  p99 " << r.latency.p99() << "  p99.9 "
             << r.latency.p999() << "  (rounds)\n"
             << "throughput: " << r.ops_per_round() << " completed ops/round\n"
-            << "messages  : " << r.wire_messages << " on the wire, "
+            << "messages  : " << run.net.delivered << " on the wire, "
             << (r.finished()
                     ? static_cast<double>(r.analytic_messages) /
                           static_cast<double>(r.finished())

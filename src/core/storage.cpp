@@ -42,7 +42,7 @@ ReplicatedStore::GetResult ReplicatedStore::get(RingPoint key,
   return out;
 }
 
-HandoffReport ReplicatedStore::handoff(const EpochGraphs& next, Rng& rng) {
+HandoffReport ReplicatedStore::handoff(const EpochGraphs& next) {
   HandoffReport report;
   report.items_before = items_.size();
 

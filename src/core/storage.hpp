@@ -62,7 +62,7 @@ class ReplicatedStore {
 
   /// Epoch turnover: migrate every item to its new owner in `next`.
   /// After this call the store is bound to `next`.
-  HandoffReport handoff(const EpochGraphs& next, Rng& rng);
+  HandoffReport handoff(const EpochGraphs& next);
 
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
 

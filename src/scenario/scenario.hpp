@@ -107,8 +107,9 @@ struct WorkloadAxis {
   std::size_t clients = 8;         ///< closed-loop population
   std::size_t rounds = 192;        ///< traffic-generation window
   std::size_t timeout_rounds = 48; ///< client patience
-  /// Self-healing lifecycle (workload::RetryPolicy defaults) instead
-  /// of the legacy fire-once clients.
+  /// Enable the clients' workload::RetryPolicy at its defaults
+  /// (retries with backoff and failover); off, each op gets one
+  /// attempt.
   bool retries = false;
   /// Named fault::fault_preset layered onto the cell's run ("" = no
   /// extra faults; the CLI's `--faults` axis).

@@ -1,9 +1,9 @@
 #include "workload/engine.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,6 +26,15 @@ constexpr std::uint64_t kTagReply = 2;
 constexpr std::uint64_t kStatusOk = 0;
 constexpr std::uint64_t kStatusFailed = 1;
 constexpr std::uint64_t kStatusCorrupted = 2;
+
+// The retry lifecycle's fixed shape: an op's deadline falls
+// kDeadlineTimeouts attempt timeouts after its first issue, the backoff
+// before attempt k + 1 is kBackoffBaseRounds << (k - 1) rounds, and a
+// re-attempt enters through the least-implicated of kFailoverCandidates
+// drawn entry groups.
+constexpr std::uint64_t kDeadlineTimeouts = 4;
+constexpr std::uint64_t kBackoffBaseRounds = 2;
+constexpr std::size_t kFailoverCandidates = 4;
 
 // Request payload layout (reply layout: op_id, status, value), each
 // followed by the padding.  The hop-count word is kFreshRequest on
@@ -216,48 +225,58 @@ class GroupNode final : public net::Node {
 };
 
 /// Shared issuing machinery: op numbering, start-group selection
-/// (uniform, or steered by the eclipse knob), reply matching — plus
-/// the self-healing op ledger (deadline, backoff retries, hedging,
-/// failover routing) used by both loop modes when RetryPolicy is on.
+/// (uniform, or steered by the current attack phase), reply matching,
+/// and the op ledger every tracked op settles through.  The ledger
+/// runs the RetryPolicy resolved here: deadline, backoff retries with
+/// failover routing and an optional hedge when it is enabled, a single
+/// attempt when it is not.
 class IssuerBase : public net::Node {
  public:
   IssuerBase(const Spec& spec, Service& service, std::uint64_t seed)
-      : spec_(&spec), service_(&service), rng_(seed) {}
+      : spec_(&spec),
+        service_(&service),
+        rng_(seed),
+        max_attempts_(spec.retry.enabled
+                          ? std::max<std::size_t>(1, spec.retry.max_attempts)
+                          : 1),
+        hedge_(spec.retry.enabled && spec.retry.hedge) {}
 
   /// Issuers keep time (arrivals, timeouts, retries): they run every
   /// round, so each turn requests the next.
   void on_start(net::Context& ctx) override { ctx.wake_at(ctx.round() + 1); }
 
+  void on_message(const net::Message& m, net::Context& ctx) override {
+    if (m.tag == kTagReply && !m.payload.empty()) settle_reply(m, ctx);
+  }
+
+  /// Drive the ledger, then generate until the window closes (the
+  /// drain rounds after it only settle what is open).
+  void on_round_end(net::Context& ctx) final {
+    ctx.wake_at(ctx.round() + 1);
+    process_wakes(ctx);
+    if (ctx.round() <= spec_->rounds) generate(ctx);
+  }
+
   [[nodiscard]] const Recorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] virtual std::size_t inflight() const noexcept = 0;
+  /// Ops open in the ledger: settling an op erases its entry.
+  [[nodiscard]] std::size_t open_ops() const noexcept {
+    return ledger_.size();
+  }
   [[nodiscard]] const std::vector<std::uint64_t>& completed_by_round()
       const noexcept {
     return completed_by_round_;
   }
 
  protected:
-  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  /// This round's arrivals (open loop) or next op (closed loop).
+  virtual void generate(net::Context& ctx) = 0;
 
-  /// Per-op ledger entry.  The op id is STABLE across attempts and
-  /// hedges: the first reply settles the op, later replies are stale.
-  struct OpState {
-    Operation op;
-    std::uint64_t first_issue = 0;
-    std::uint64_t last_issue = 0;
-    std::uint64_t retry_at = kNever;
-    std::uint64_t hedge_at = kNever;
-    std::uint64_t cleanup_at = kNever;
-    std::uint32_t attempts = 0;
-    bool hedged = false;
-    bool settled = false;
-    net::NodeId last_start = 0;
-    /// Hop groups implicated by this op's earlier timeouts; failover
-    /// re-attempts route around them.
-    std::vector<std::uint32_t> implicated;
-  };
+  /// Loop-mode hook: fired exactly once per op as it settles.
+  virtual void on_settle() {}
 
-  [[nodiscard]] bool retry_on() const noexcept {
-    return spec_->retry.enabled;
+  /// Node id in the high bits keeps op ids globally unique.
+  [[nodiscard]] std::uint64_t next_op_id(net::NodeId self) noexcept {
+    return (static_cast<std::uint64_t>(self) << 40) | next_serial_++;
   }
 
   /// The phase governing `round`, or nullptr before the first phase.
@@ -273,107 +292,70 @@ class IssuerBase : public net::Node {
 
   [[nodiscard]] net::NodeId pick_start(std::uint64_t round) {
     const World& world = service_->world();
-    double eclipsed = spec_->eclipsed_fraction;
-    if (!spec_->phases.empty()) {
-      const AttackPhase* phase = phase_at(round);
-      eclipsed = phase != nullptr ? phase->eclipsed_fraction : 0.0;
-    }
+    const AttackPhase* phase = phase_at(round);
+    const double eclipsed = phase != nullptr ? phase->eclipsed_fraction : 0.0;
     if (eclipsed > 0.0 && rng_.bernoulli(eclipsed)) {
       return static_cast<net::NodeId>(world.most_bad_group());
     }
     return static_cast<net::NodeId>(rng_.below(world.groups()));
   }
 
-  // ----- telemetry mirrors (no-ops without an active session) -----
-
-  [[nodiscard]] std::uint32_t telem_source() const noexcept {
-    return telemetry::kSrcClient + static_cast<std::uint32_t>(self_id_);
-  }
-
-  /// Opens the op's async span ('b') and mirrors the issued counter.
-  /// Bogus background issuers keep no ledger and emit no spans.
-  void telem_op_begin(std::uint64_t op_id, const Operation& op) {
-    if (!track_ops_) return;
-    if (auto* t = telemetry::active()) {
-      t->count(telemetry::Probe::workload_ops_issued);
-      t->event(telemetry::EventName::op, telem_source(), 'b', op_id,
-               /*a=*/static_cast<std::uint64_t>(op.kind));
-    }
-  }
-
-  /// Closes the op's span ('e') with its outcome and mirrors the
-  /// outcome counter + latency histogram.
-  void telem_op_end(std::uint64_t op_id, std::uint64_t outcome,
-                    std::uint64_t latency) {
-    if (auto* t = telemetry::active()) {
-      using telemetry::Probe;
-      t->count(outcome == kOutcomeCompleted ? Probe::workload_ops_completed
-               : outcome == kOutcomeFailed  ? Probe::workload_ops_failed
-                                            : Probe::workload_ops_timed_out);
-      t->sample(Probe::workload_op_latency_rounds, latency);
-      t->event(telemetry::EventName::op, telem_source(), 'e', op_id,
-               /*a=*/0, /*b=*/outcome);
-    }
-  }
-
-  void telem_op_stale(const net::Message& m) {
-    if (auto* t = telemetry::active()) {
-      t->count(telemetry::Probe::workload_stale_replies);
-      t->event(telemetry::EventName::op_stale, telem_source(), 'n',
-               m.payload[0], /*a=*/m.src);
-    }
-  }
-
-  /// Issue the next op from this node; returns its id.  (The legacy
-  /// fire-once path; the lifecycle path opens ops via open_op.)
-  std::uint64_t issue(net::Context& ctx) {
+  /// Open a new op: ledger entry + first attempt.
+  void open_op(net::Context& ctx) {
     self_id_ = ctx.self();
-    const Operation op = service_->next_operation(rng_);
-    // Node id in the high bits keeps op ids globally unique.
-    const std::uint64_t op_id =
-        (static_cast<std::uint64_t>(ctx.self()) << 40) | next_serial_++;
-    send_request(ctx, pick_start(ctx.round()), op, op_id, ctx.self(),
+    const std::uint64_t round = ctx.round();
+    OpState st;
+    st.op = service_->next_operation(rng_);
+    const std::uint64_t op_id = next_op_id(ctx.self());
+    st.first_issue = st.last_issue = round;
+    st.attempts = 1;
+    st.last_start = pick_start(round);
+    send_request(ctx, st.last_start, st.op, op_id, ctx.self(),
                  spec_->padding_words);
     ++recorder_.issued;
-    telem_op_begin(op_id, op);
-    return op_id;
-  }
-
-  void record_reply(const net::Message& m, std::uint64_t delivery_round,
-                    std::uint64_t issue_round) {
-    // Client-observed latency: delivery round minus issue round (>= 1;
-    // delayed replies count their delay).
-    const std::uint64_t latency =
-        std::max<std::uint64_t>(1, delivery_round - issue_round);
-    recorder_.latency.record(latency);
-    std::uint64_t outcome = kOutcomeFailed;
-    if (m.payload.size() >= 2 && m.payload[1] == kStatusOk) {
-      ++recorder_.completed;
-      note_goodput(delivery_round);
-      outcome = kOutcomeCompleted;
-    } else {
-      ++recorder_.failed;
+    if (auto* t = telemetry::active()) {  // open the op's async span
+      t->count(telemetry::Probe::workload_ops_issued);
+      t->event(telemetry::EventName::op, telem_source(), 'b', op_id,
+               /*a=*/static_cast<std::uint64_t>(st.op.kind));
     }
-    telem_op_end(m.payload[0], outcome, latency);
+    schedule_wake(round + spec_->timeout_rounds, op_id);
+    if (hedge_) {
+      const std::uint64_t at = round + hedge_delay();
+      if (at < round + spec_->timeout_rounds) {
+        st.hedge_at = at;
+        schedule_wake(at, op_id);
+      }
+    }
+    ledger_.emplace(op_id, std::move(st));
   }
 
-  void record_timeout(std::uint64_t op_id) {
-    recorder_.latency.record(spec_->timeout_rounds);
-    ++recorder_.timed_out;
-    telem_op_end(op_id, kOutcomeTimedOut, spec_->timeout_rounds);
-  }
+  const Spec* spec_;
+  Service* service_;
+  Rng rng_;
 
-  // ----- self-healing lifecycle (retry_on() paths only) -----
+ private:
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-  [[nodiscard]] std::uint64_t deadline_rounds() const noexcept {
-    return spec_->retry.deadline_rounds != 0 ? spec_->retry.deadline_rounds
-                                             : 4 * spec_->timeout_rounds;
-  }
+  /// Per-op ledger entry, erased when the op settles.  The op id is
+  /// STABLE across attempts and hedges: the first reply settles the
+  /// op, and a later one finds no entry and is counted stale.
+  struct OpState {
+    Operation op;
+    std::uint64_t first_issue = 0;
+    std::uint64_t last_issue = 0;
+    std::uint64_t retry_at = kNever;
+    std::uint64_t hedge_at = kNever;
+    std::uint32_t attempts = 0;
+    net::NodeId last_start = 0;
+    /// Hop groups implicated by this op's earlier timeouts; failover
+    /// re-attempts route around them.
+    std::vector<std::uint32_t> implicated;
+  };
+  using Ledger = std::unordered_map<std::uint64_t, OpState>;
 
-  /// How long a settled entry lingers so late/duplicate replies are
-  /// classified stale by the ledger rather than by its absence.
-  [[nodiscard]] std::uint64_t stale_grace() const noexcept {
-    return spec_->timeout_rounds;
+  /// The per-issuer trace "thread" of this issuer's telemetry events.
+  [[nodiscard]] std::uint32_t telem_source() const noexcept {
+    return telemetry::kSrcClient + static_cast<std::uint32_t>(self_id_);
   }
 
   /// Hedge trigger: explicit knob, or this issuer's own p99 once it
@@ -395,33 +377,6 @@ class IssuerBase : public net::Node {
     wake_[when].push_back(op_id);
   }
 
-  /// Open a new op under the lifecycle: ledger entry + first attempt.
-  void open_op(net::Context& ctx) {
-    self_id_ = ctx.self();
-    const std::uint64_t round = ctx.round();
-    OpState st;
-    st.op = service_->next_operation(rng_);
-    const std::uint64_t op_id =
-        (static_cast<std::uint64_t>(ctx.self()) << 40) | next_serial_++;
-    st.first_issue = st.last_issue = round;
-    st.attempts = 1;
-    st.last_start = pick_start(round);
-    send_request(ctx, st.last_start, st.op, op_id, ctx.self(),
-                 spec_->padding_words);
-    ++recorder_.issued;
-    telem_op_begin(op_id, st.op);
-    ++open_ops_;
-    schedule_wake(round + spec_->timeout_rounds, op_id);
-    if (spec_->retry.hedge) {
-      const std::uint64_t at = round + hedge_delay();
-      if (at < round + spec_->timeout_rounds) {
-        st.hedge_at = at;
-        schedule_wake(at, op_id);
-      }
-    }
-    ledger_.emplace(op_id, std::move(st));
-  }
-
   /// Drive every op whose wake round arrived.  Wakes are scheduled in
   /// deterministic handler order and the ledger is consulted by id,
   /// never iterated, so the lifecycle inherits the runtime's
@@ -433,15 +388,12 @@ class IssuerBase : public net::Node {
         std::exchange(wake_[round], std::vector<std::uint64_t>{});
     for (const std::uint64_t op_id : due) {
       const auto it = ledger_.find(op_id);
-      if (it == ledger_.end()) continue;
+      if (it == ledger_.end()) continue;  // stale wake: the op is closed
       OpState& st = it->second;
-      if (st.settled) {
-        if (round >= st.cleanup_at) ledger_.erase(it);
-        continue;
-      }
-      const std::uint64_t limit = st.first_issue + deadline_rounds();
+      const std::uint64_t limit =
+          st.first_issue + kDeadlineTimeouts * spec_->timeout_rounds;
       if (round >= limit) {
-        settle_timeout(op_id, st, round);
+        settle(it, round, kOutcomeTimedOut);
         continue;
       }
       if (st.retry_at == round) {
@@ -451,24 +403,22 @@ class IssuerBase : public net::Node {
       }
       if (st.hedge_at == round) {
         st.hedge_at = kNever;
-        if (!st.hedged) send_attempt(ctx, op_id, st, /*hedge=*/true);
+        send_attempt(ctx, op_id, st, /*hedge=*/true);
         continue;
       }
       if (round >= st.last_issue + spec_->timeout_rounds) {
-        // The newest attempt timed out: remember its route, then back
-        // off and fail over — or give up within the deadline.
-        implicate(st);
-        if (st.attempts >=
-            std::max<std::size_t>(1, spec_->retry.max_attempts)) {
-          settle_timeout(op_id, st, round);
+        // The newest attempt timed out: remember its route for the
+        // failover (only a re-attempt reads it), then back off and
+        // fail over — or give up within the deadline.
+        if (max_attempts_ > 1) implicate(st);
+        if (st.attempts >= max_attempts_) {
+          settle(it, round, kOutcomeTimedOut);
           continue;
         }
-        const std::uint64_t backoff = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(spec_->retry.backoff_base_rounds)
-                   << (st.attempts - 1));
-        const std::uint64_t when = round + backoff;
+        const std::uint64_t when =
+            round + (kBackoffBaseRounds << (st.attempts - 1));
         if (when + 1 >= limit) {
-          settle_timeout(op_id, st, round);
+          settle(it, round, kOutcomeTimedOut);
           continue;
         }
         st.retry_at = when;
@@ -480,59 +430,61 @@ class IssuerBase : public net::Node {
     }
   }
 
-  /// Reply handling under the lifecycle.  Returns true if the reply
-  /// settled its op; stale (late/duplicate/hedge-echo) replies only
-  /// bump the stale counter — the ledger is idempotent by design.
-  bool handle_retry_reply(const net::Message& m, net::Context& ctx) {
+  /// The first reply settles its op; a reply that finds no entry (late,
+  /// duplicate, hedge echo) only bumps the stale counter — the ledger
+  /// is idempotent by design.
+  void settle_reply(const net::Message& m, net::Context& ctx) {
     const auto it = ledger_.find(m.payload[0]);
-    if (it == ledger_.end() || it->second.settled) {
+    if (it == ledger_.end()) {
       ++recorder_.stale_replies;
-      telem_op_stale(m);
-      return false;
+      if (auto* t = telemetry::active()) {
+        t->count(telemetry::Probe::workload_stale_replies);
+        t->event(telemetry::EventName::op_stale, telem_source(), 'n',
+                 m.payload[0], /*a=*/m.src);
+      }
+      return;
     }
-    OpState& st = it->second;
-    record_reply(m, ctx.round(), st.first_issue);
-    st.settled = true;
-    --open_ops_;
-    st.cleanup_at = ctx.round() + stale_grace();
-    schedule_wake(st.cleanup_at, m.payload[0]);
-    on_settled();
-    return true;
+    const bool ok = m.payload.size() >= 2 && m.payload[1] == kStatusOk;
+    settle(it, ctx.round(), ok ? kOutcomeCompleted : kOutcomeFailed);
   }
 
-  [[nodiscard]] std::size_t open_ops() const noexcept { return open_ops_; }
-
-  /// Loop-mode hook: fired exactly once per op when it settles.
-  virtual void on_settled() {}
-
- private:
-  void settle_timeout(std::uint64_t op_id, OpState& st, std::uint64_t round) {
-    // Latency is the client-observed wait since the FIRST attempt.
+  /// Record the op's outcome and its client-observed latency — rounds
+  /// since the FIRST issue, at least 1, so delayed replies count their
+  /// delay — close its span ('e') and erase its entry.
+  void settle(Ledger::iterator it, std::uint64_t round,
+              std::uint64_t outcome) {
     const std::uint64_t latency =
-        std::max<std::uint64_t>(1, round - st.first_issue);
+        std::max<std::uint64_t>(1, round - it->second.first_issue);
     recorder_.latency.record(latency);
-    ++recorder_.timed_out;
-    telem_op_end(op_id, kOutcomeTimedOut, latency);
-    st.settled = true;
-    --open_ops_;
-    st.cleanup_at = round + stale_grace();
-    schedule_wake(st.cleanup_at, op_id);
-    on_settled();
+    if (outcome == kOutcomeCompleted) {
+      ++recorder_.completed;
+      note_goodput(round);
+    } else if (outcome == kOutcomeFailed) {
+      ++recorder_.failed;
+    } else {
+      ++recorder_.timed_out;
+    }
+    if (auto* t = telemetry::active()) {
+      using telemetry::Probe;
+      t->count(outcome == kOutcomeCompleted ? Probe::workload_ops_completed
+               : outcome == kOutcomeFailed  ? Probe::workload_ops_failed
+                                            : Probe::workload_ops_timed_out);
+      t->sample(Probe::workload_op_latency_rounds, latency);
+      t->event(telemetry::EventName::op, telem_source(), 'e', it->first,
+               /*a=*/0, /*b=*/outcome);
+    }
+    ledger_.erase(it);
+    on_settle();
   }
 
   void send_attempt(net::Context& ctx, std::uint64_t op_id, OpState& st,
                     bool hedge) {
     const std::uint64_t round = ctx.round();
-    net::NodeId start;
-    if (spec_->retry.avoid_implicated && !st.implicated.empty()) {
-      start = pick_failover_start(st);
-    } else {
-      start = pick_start(round);
-    }
+    const net::NodeId start =
+        st.implicated.empty() ? pick_start(round) : pick_failover_start(st);
     st.last_start = start;
     st.last_issue = round;
     if (hedge) {
-      st.hedged = true;
       ++recorder_.hedges;
     } else {
       ++st.attempts;
@@ -552,7 +504,6 @@ class IssuerBase : public net::Node {
   /// OWNER answers — corrupted — rather than timing out), capped to
   /// keep per-op state tiny.
   void implicate(OpState& st) {
-    if (!spec_->retry.avoid_implicated) return;
     const World& world = service_->world();
     world.route_into(route_scratch_, st.last_start, st.op.key);
     if (!route_scratch_.ok) return;
@@ -566,24 +517,23 @@ class IssuerBase : public net::Node {
     }
   }
 
-  /// Failover entry selection: draw K candidate entry groups, route
-  /// them all in ONE route_many batch, take the route overlapping the
-  /// implicated set least (ties: first drawn; same-entry re-use is
-  /// penalized one point).
+  /// Failover entry selection: draw kFailoverCandidates entry groups,
+  /// route them all in ONE route_many batch, take the route
+  /// overlapping the implicated set least (ties: first drawn;
+  /// same-entry re-use is penalized one point).
   [[nodiscard]] net::NodeId pick_failover_start(const OpState& st) {
     const World& world = service_->world();
-    const std::size_t k =
-        std::max<std::size_t>(2, spec_->retry.failover_candidates);
     cand_queries_.clear();
-    for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t i = 0; i < kFailoverCandidates; ++i) {
       cand_queries_.push_back(
           overlay::RouteQuery{rng_.below(world.groups()), st.op.key});
     }
-    if (cand_routes_.size() < k) cand_routes_.resize(k);
-    world.route_many(cand_queries_.data(), k, cand_routes_.data());
+    cand_routes_.resize(kFailoverCandidates);
+    world.route_many(cand_queries_.data(), kFailoverCandidates,
+                     cand_routes_.data());
     std::size_t best = 0;
     std::size_t best_score = ~std::size_t{0};
-    for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t i = 0; i < kFailoverCandidates; ++i) {
       const overlay::Route& route = cand_routes_[i];
       if (!route.ok) continue;
       std::size_t score = 0;
@@ -611,25 +561,19 @@ class IssuerBase : public net::Node {
     ++completed_by_round_[round];
   }
 
- protected:
-  const Spec* spec_;
-  Service* service_;
-  Rng rng_;
+  /// The RetryPolicy, resolved: a disabled policy is one attempt and
+  /// no hedge.
+  std::size_t max_attempts_;
+  bool hedge_;
   Recorder recorder_;
   std::uint64_t next_serial_ = 0;
   /// Own node id, captured at the first issue (Context is not stored);
   /// telemetry events use it as the per-issuer trace "thread".
   net::NodeId self_id_ = 0;
-  /// Bogus background issuers keep no ledger, so they mirror nothing.
-  bool track_ops_ = true;
-
- private:
-  // Lifecycle state (only touched when retry_on()).
-  std::unordered_map<std::uint64_t, OpState> ledger_;
+  Ledger ledger_;
   /// Wake slots by absolute round — the ONLY iteration over pending
   /// ops, appended in deterministic handler order (never a map walk).
   std::vector<std::vector<std::uint64_t>> wake_;
-  std::size_t open_ops_ = 0;
   std::vector<std::uint64_t> completed_by_round_;
   overlay::Route route_scratch_;
   std::vector<overlay::RouteQuery> cand_queries_;
@@ -638,53 +582,23 @@ class IssuerBase : public net::Node {
 
 /// Open-loop generator: a deterministic arrival schedule, issued
 /// whether or not earlier ops completed.  `bogus` turns it into the
-/// flood attack's background traffic source: same arrivals, nothing
-/// tracked or recorded.
+/// flood attack's background traffic source: arrivals at the current
+/// phase's background rate, sent but never tracked or recorded.
 class GeneratorNode final : public IssuerBase {
  public:
   GeneratorNode(const Spec& spec, Service& service, std::uint64_t seed,
-                double rate, bool bogus)
-      : IssuerBase(spec, service, seed), rate_(rate), bogus_(bogus) {
-    track_ops_ = !bogus;
-  }
+                bool bogus)
+      : IssuerBase(spec, service, seed), bogus_(bogus) {}
 
   void on_message(const net::Message& m, net::Context& ctx) override {
-    if (bogus_ || m.tag != kTagReply || m.payload.empty()) return;
-    if (retry_on()) {
-      handle_retry_reply(m, ctx);
-      return;
-    }
-    const auto it = inflight_.find(m.payload[0]);
-    if (it == inflight_.end()) {
-      // Already timed out (or a duplicate delivery): the legacy
-      // ledger is idempotent too — counted, never recorded twice.
-      ++recorder_.stale_replies;
-      telem_op_stale(m);
-      return;
-    }
-    record_reply(m, ctx.round(), it->second);
-    inflight_.erase(it);
+    if (!bogus_) IssuerBase::on_message(m, ctx);
   }
 
-  void on_round_end(net::Context& ctx) override {
+ private:
+  void generate(net::Context& ctx) override {
     const std::uint64_t round = ctx.round();
-    ctx.wake_at(round + 1);
-    if (retry_on() && !bogus_) {
-      process_wakes(ctx);
-    } else {
-      // Expire overdue ops (issue order == FIFO order).
-      while (!expiry_.empty() &&
-             round - expiry_.front().second >= spec_->timeout_rounds) {
-        const auto op_id = expiry_.front().first;
-        expiry_.pop_front();
-        if (inflight_.erase(op_id) != 0) record_timeout(op_id);
-      }
-    }
-    if (round > spec_->rounds) return;  // generation window over: drain
-    double rate = rate_;
-    if (bogus_ && !spec_->phases.empty()) {
-      // Scripted flood posture: the background source follows the
-      // adaptive adversary's current phase.
+    double rate = spec_->rate;
+    if (bogus_) {
       const AttackPhase* phase = phase_at(round);
       rate = phase != nullptr ? phase->background_rate : 0.0;
     }
@@ -695,103 +609,44 @@ class GeneratorNode final : public IssuerBase {
     accumulator_ += rate;
     while (accumulator_ >= 1.0) {
       accumulator_ -= 1.0;
-      if (retry_on() && !bogus_) {
+      if (!bogus_) {
         open_op(ctx);
         continue;
       }
-      const std::uint64_t op_id = issue(ctx);
-      if (bogus_) {
-        recorder_.issued = 0;  // bogus load keeps no ledger
-      } else {
-        inflight_.emplace(op_id, round);
-        expiry_.emplace_back(op_id, round);
-      }
+      // Flood load: sent, never tracked or recorded.
+      const Operation op = service_->next_operation(rng_);
+      const std::uint64_t op_id = next_op_id(ctx.self());
+      send_request(ctx, pick_start(round), op, op_id, ctx.self(),
+                   spec_->padding_words);
     }
   }
 
-  [[nodiscard]] std::size_t inflight() const noexcept override {
-    return retry_on() ? open_ops() : inflight_.size();
-  }
-
- private:
-  double rate_;
   bool bogus_;
   double accumulator_ = 0.0;
-  std::unordered_map<std::uint64_t, std::uint64_t> inflight_;  // id -> round
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> expiry_;
 };
 
 /// Closed-loop client: one op in flight, then think, then the next.
 class ClientNode final : public IssuerBase {
  public:
-  ClientNode(const Spec& spec, Service& service, std::uint64_t seed)
-      : IssuerBase(spec, service, seed) {}
+  using IssuerBase::IssuerBase;
 
   void on_start(net::Context& ctx) override {
     IssuerBase::on_start(ctx);
-    if (retry_on()) {
-      open_op(ctx);
-      return;
-    }
-    inflight_id_ = issue(ctx);
-    issue_round_ = ctx.round();
+    open_op(ctx);
   }
 
-  void on_message(const net::Message& m, net::Context& ctx) override {
-    if (m.tag != kTagReply || m.payload.empty()) return;
-    if (retry_on()) {
-      handle_retry_reply(m, ctx);
-      return;
-    }
-    if (m.payload[0] != inflight_id_ || inflight_id_ == 0) {
-      // A reply for an op this client already gave up on (or a
-      // duplicate of one it already took): stale by definition.
-      ++recorder_.stale_replies;
-      telem_op_stale(m);
-      return;
-    }
-    record_reply(m, ctx.round(), issue_round_);
-    inflight_id_ = 0;
-    think_left_ = spec_->think_rounds;
-  }
-
-  void on_round_end(net::Context& ctx) override {
-    const std::uint64_t round = ctx.round();
-    ctx.wake_at(round + 1);
-    if (retry_on()) {
-      process_wakes(ctx);
-      if (open_ops() != 0 || round > spec_->rounds) return;
-      if (think_left_ > 0) {
-        --think_left_;
-        return;
-      }
-      open_op(ctx);
-      return;
-    }
-    if (inflight_id_ != 0 &&
-        round - issue_round_ >= spec_->timeout_rounds) {
-      record_timeout(inflight_id_);
-      inflight_id_ = 0;
-      think_left_ = spec_->think_rounds;
-    }
-    if (inflight_id_ != 0 || round > spec_->rounds) return;
+ private:
+  void generate(net::Context& ctx) override {
+    if (open_ops() != 0) return;
     if (think_left_ > 0) {
       --think_left_;
       return;
     }
-    inflight_id_ = issue(ctx);
-    issue_round_ = round;
+    open_op(ctx);
   }
 
-  [[nodiscard]] std::size_t inflight() const noexcept override {
-    return retry_on() ? open_ops() : (inflight_id_ != 0 ? 1 : 0);
-  }
+  void on_settle() override { think_left_ = spec_->think_rounds; }
 
- private:
-  void on_settled() override { think_left_ = spec_->think_rounds; }
-
-  std::uint64_t inflight_id_ = 0;
-  std::uint64_t issue_round_ = 0;
   std::size_t think_left_ = 0;
 };
 
@@ -803,6 +658,9 @@ std::string_view to_string(Mode mode) noexcept {
 
 RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
               std::size_t threads) {
+  if (spec_in.timeout_rounds == 0) {
+    throw std::invalid_argument("workload::run: timeout_rounds must be >= 1");
+  }
   const World& world = service.world();
   // Build the overlay's finger rows from the main thread (the build
   // parallelizes on the global pool) before handlers start routing —
@@ -845,8 +703,8 @@ RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
     return mix64(seed ^ (0x636c69656e74ULL + index * 0x9e3779b97f4a7c15ULL));
   };
   if (spec.mode == Mode::open_loop) {
-    auto node = std::make_unique<GeneratorNode>(
-        spec, service, issuer_seed(0), spec.rate, /*bogus=*/false);
+    auto node = std::make_unique<GeneratorNode>(spec, service, issuer_seed(0),
+                                                /*bogus=*/false);
     issuers.push_back(node.get());
     network.add_node(std::move(node));
   } else {
@@ -858,37 +716,28 @@ RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
       network.add_node(std::move(node));
     }
   }
-  bool any_background = spec.background_rate > 0.0;
-  for (const AttackPhase& phase : spec.phases) {
-    any_background = any_background || phase.background_rate > 0.0;
-  }
-  if (any_background) {
+  if (std::any_of(spec.phases.begin(), spec.phases.end(),
+                  [](const AttackPhase& phase) {
+                    return phase.background_rate > 0.0;
+                  })) {
     network.add_node(std::make_unique<GeneratorNode>(
-        spec, service, issuer_seed(~std::size_t{0}), spec.background_rate,
-        /*bogus=*/true));
+        spec, service, issuer_seed(~std::size_t{0}), /*bogus=*/true));
   }
 
   const Stopwatch sw;
   network.start();
   for (std::size_t r = 0; r < spec.rounds; ++r) network.run_round();
-  // Drain: every tracked op resolves within its horizon — the timeout
-  // on the legacy path, the per-op deadline (plus the final attempt's
-  // timeout) under the retry lifecycle.
-  std::size_t drain_cap = spec.timeout_rounds + 8;
-  if (spec.retry.enabled) {
-    const std::size_t deadline = spec.retry.deadline_rounds != 0
-                                     ? spec.retry.deadline_rounds
-                                     : 4 * spec.timeout_rounds;
-    drain_cap = deadline + spec.timeout_rounds + 8;
-  }
+  // Drain: every op settles by its deadline, or by its last attempt's
+  // timeout when that attempt started just before the deadline.
+  const std::size_t drain_cap =
+      (kDeadlineTimeouts + 1) * spec.timeout_rounds + 8;
   std::size_t drain = 0;
-  const auto any_inflight = [&] {
-    for (const IssuerBase* issuer : issuers) {
-      if (issuer->inflight() != 0) return true;
-    }
-    return false;
+  const auto any_open = [&] {
+    return std::any_of(
+        issuers.begin(), issuers.end(),
+        [](const IssuerBase* issuer) { return issuer->open_ops() != 0; });
   };
-  while (any_inflight() && drain < drain_cap) {
+  while (any_open() && drain < drain_cap) {
     network.run_round();
     ++drain;
   }
@@ -912,7 +761,6 @@ RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
     out.recorder.analytic_messages += group->analytic_messages();
   }
   out.net = network.stats();
-  out.recorder.wire_messages = out.net.delivered;
   out.trace_hash = network.trace_hash();
   out.rounds_run = spec.rounds + drain;
   return out;

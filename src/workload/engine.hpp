@@ -19,6 +19,9 @@
 //     collapse under overload.
 //   * CLOSED LOOP — N concurrent clients, each issue -> wait ->
 //     think -> reissue: the mode that models interactive users.
+// Both issue through one request lifecycle: every op opens an entry in
+// its issuer's op ledger and settles through it exactly once, by reply
+// or by timeout, whether or not the RetryPolicy is enabled.
 //
 // Determinism contract: (service spec, engine spec, seed) fully
 // determine every op outcome, the network trace hash, and every
@@ -45,39 +48,39 @@ enum class Mode {
 
 [[nodiscard]] std::string_view to_string(Mode mode) noexcept;
 
-/// The self-healing request lifecycle (off by default — the
-/// issue-once/time-out path).  When enabled, every op gets:
-/// per-op deadline -> exponential-backoff retries through an
-/// ALTERNATE entry group -> optional hedged second attempt after a
-/// p99-derived delay.  The op id stays stable across attempts, so the
-/// op ledger is idempotent: the first reply settles the op, every
-/// later (duplicate, hedged, post-timeout) reply is counted stale and
-/// dropped without touching the histogram.
+/// The self-healing request lifecycle.  Every op opens an entry in its
+/// issuer's op ledger and settles through it, by reply or by timeout;
+/// the policy only sets how many attempts that takes.  Enabled, an op
+/// gets a deadline of 4 x Spec::timeout_rounds, exponential-backoff
+/// retries (2 << (k - 1) rounds before attempt k + 1) that fail over
+/// through the least-implicated of 4 drawn entry groups, and an
+/// optional hedged second attempt.  Disabled, it gets one attempt and
+/// no hedge, and times out after Spec::timeout_rounds.  The op id stays
+/// stable across attempts, so the ledger is idempotent: the first reply
+/// settles the op and erases its entry, and every later (duplicate,
+/// hedged, post-timeout) reply finds no entry and is counted stale,
+/// without touching the histogram.
 struct RetryPolicy {
   bool enabled = false;
   /// Total send attempts per op, the first included.
   std::size_t max_attempts = 4;
-  /// Backoff before attempt k+1 = base << (k - 1) rounds.
-  std::size_t backoff_base_rounds = 2;
-  /// Client-observed deadline per op; 0 = 4 x Spec::timeout_rounds.
-  std::size_t deadline_rounds = 0;
   /// Launch a hedged second attempt if no reply after hedge_delay.
   bool hedge = false;
   /// 0 = derive per issue from the issuer's own p99 (bootstrap: half
   /// the timeout until 8 latencies are recorded).
   std::size_t hedge_delay_rounds = 0;
-  /// Failover routing: re-attempts avoid hop groups implicated by
-  /// this op's earlier timeouts, scored over `failover_candidates`
-  /// alternate entry groups via one route_many batch.
-  bool avoid_implicated = true;
-  std::size_t failover_candidates = 4;
 };
 
-/// A scripted change of adversary posture at a round boundary (the
-/// adaptive adversary's campaign compiles into these plus a
-/// fault::FaultPlan).  Phases are sorted by start_round; each applies
-/// until the next begins.  An empty phase list preserves the scalar
-/// eclipsed_fraction / background_rate knobs exactly.
+/// A scripted adversary posture from a round boundary on: the
+/// fraction of ops whose start group is steered to the bad-heaviest
+/// group (the eclipse attack observed from the service side) and the
+/// rate of bogus background requests per round that consume service
+/// and network capacity but are never recorded (the flood attack).
+/// Phases are sorted by start_round; each applies until the next
+/// begins, and before the first the posture is benign.  The scenario
+/// bridge compiles the eclipse and flood adversaries into one phase
+/// from round 0, and the adaptive adversary's campaign into one per
+/// epoch (plus a fault::FaultPlan).
 struct AttackPhase {
   std::uint64_t start_round = 0;
   double eclipsed_fraction = 0.0;
@@ -89,6 +92,8 @@ struct Spec {
   /// Rounds of traffic generation; the run then drains in-flight ops
   /// (every op resolves: reply or timeout).
   std::size_t rounds = 256;
+  /// Rounds an attempt waits for its reply; at least 1 (run() throws
+  /// std::invalid_argument on 0).
   std::size_t timeout_rounds = 48;
 
   // Open loop.
@@ -103,14 +108,6 @@ struct Spec {
   std::size_t clients = 8;
   std::size_t think_rounds = 2;
 
-  // Adversary-facing knobs (set by the scenario bridge).
-  /// Fraction of ops whose start group is steered to the bad-heaviest
-  /// group (the eclipse attack observed from the service side).
-  double eclipsed_fraction = 0.0;
-  /// Bogus background requests per round that consume service and
-  /// network capacity but are never recorded (the flood attack).
-  double background_rate = 0.0;
-
   /// The deterministic fault plane for this run — the single source of
   /// message hazards (empty = pristine
   /// delivery; the injector seam is then never attached and traffic
@@ -119,7 +116,8 @@ struct Spec {
   fault::FaultPlan faults;
   /// The self-healing lifecycle (see RetryPolicy).
   RetryPolicy retry;
-  /// Scripted adversary posture changes (see AttackPhase).
+  /// Adversary postures over the run (see AttackPhase; empty =
+  /// benign).
   std::vector<AttackPhase> phases;
   /// Record per-delivery-round completion counts into
   /// RunResult::completed_by_round (recovery-time measurement).

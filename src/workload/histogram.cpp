@@ -9,7 +9,6 @@ void Recorder::merge(const Recorder& other) noexcept {
   failed += other.failed;
   timed_out += other.timed_out;
   rounds += other.rounds;
-  wire_messages += other.wire_messages;
   analytic_messages += other.analytic_messages;
   retries += other.retries;
   hedges += other.hedges;

@@ -10,12 +10,13 @@
 
 namespace tg::workload {
 
-/// Per-run (or per-shard) operation ledger: the latency distribution
-/// of completed ops plus the outcome counters the service reports.
+/// Per-run (or per-shard) record of settled ops: the latency
+/// distribution plus the outcome counters the service reports.
 /// Failed ops are ones the service answered negatively (corrupted or
 /// not-found replies); timed-out ops never got an answer (dropped at
-/// a red group or lost in flight).  Only completed + failed ops carry
-/// a latency; timeouts record the timeout horizon instead (the
+/// a red group or lost in flight).  Every settled op records one
+/// latency, counted from its first issue: to the reply for completed
+/// and failed ops, to the moment the client gave up for timeouts (the
 /// client-observed truth: that is how long the client waited).
 struct Recorder {
   /// Log-scale histogram over u64 latencies in ROUNDS.
@@ -27,15 +28,13 @@ struct Recorder {
   /// Rounds of traffic generation this recorder covers (summed on
   /// merge so ops_per_round stays an average over the merged window).
   std::uint64_t rounds = 0;
-  /// Runtime messages the ops' requests/replies put on the wire.
-  std::uint64_t wire_messages = 0;
   /// All-to-all message cost of the same hops (|G_a| x |G_b| per
   /// group-to-group edge) — the paper's accounting, for comparing
   /// against the analytic benches.
   std::uint64_t analytic_messages = 0;
-  /// Self-healing lifecycle counters (zero on the legacy no-retry
-  /// path, except stale_replies which also counts late/duplicate
-  /// replies the legacy ledger discards).
+  /// Request-lifecycle counters.  retries and hedges stay zero with
+  /// the RetryPolicy disabled; stale_replies counts the late and
+  /// duplicate replies the ledger discards either way.
   std::uint64_t retries = 0;       ///< backoff re-attempts issued
   std::uint64_t hedges = 0;        ///< hedged second attempts issued
   std::uint64_t stale_replies = 0; ///< replies to already-settled ops
@@ -66,7 +65,7 @@ struct Recorder {
                       : 0.0;
   }
   /// Attempts per op: (first attempts + retries + hedges) / ops.
-  /// 1.0 exactly on the no-retry path.
+  /// 1.0 exactly with the RetryPolicy disabled.
   [[nodiscard]] double retry_amplification() const noexcept {
     return issued ? static_cast<double>(issued + retries + hedges) /
                         static_cast<double>(issued)

@@ -106,8 +106,7 @@ struct Operation {
 /// client times out); a red RESPONSIBLE group serves garbage, which
 /// the harness flags as corrupted (we know ground truth).
 struct Execution {
-  bool ok = false;         ///< op semantically succeeded
-  bool corrupted = false;  ///< adversary-served reply
+  bool ok = false;  ///< op semantically succeeded
   std::uint64_t value = 0;
 };
 

@@ -278,11 +278,11 @@ Spec engine_spec(const ScenarioSpec& spec, bool with_adversary) {
   if (!with_adversary) return out;
   switch (spec.adversary) {
     case AdversaryKind::eclipse:
-      out.eclipsed_fraction = kEclipsedFraction;
+      out.phases.push_back(AttackPhase{0, kEclipsedFraction, 0.0});
       break;
     case AdversaryKind::flood:
-      out.background_rate =
-          std::max(2.0, axis.rate * kFloodBackgroundMultiplier);
+      out.phases.push_back(AttackPhase{
+          0, 0.0, std::max(2.0, axis.rate * kFloodBackgroundMultiplier)});
       break;
     default:
       // Placement adversaries act through the world; late release

@@ -46,9 +46,9 @@ namespace tg::workload {
     std::size_t key_space, std::uint64_t salt);
 
 /// Engine spec for a cell: the workload axis plus the adversary's
-/// traffic-level knobs (eclipse steering, flood background).  The
-/// late-release delay is a fault-plane rule the trial runners append
-/// after any fault preset.
+/// traffic-level posture (eclipse steering or flood background) as one
+/// attack phase from round 0.  The late-release delay is a fault-plane
+/// rule the trial runners append after any fault preset.
 [[nodiscard]] Spec engine_spec(const scenario::ScenarioSpec& spec,
                                bool with_adversary);
 

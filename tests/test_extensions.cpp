@@ -286,7 +286,7 @@ TEST(Storage, HandoffRetainsItems) {
   const std::size_t before = store.size();
   for (int e = 0; e < 3; ++e) {
     gens.push_back(builder.build_next(gens.back(), rng, nullptr));
-    const auto rep = store.handoff(gens.back(), rng);
+    const auto rep = store.handoff(gens.back());
     EXPECT_GT(rep.retention(), 0.97) << "epoch " << e;
     EXPECT_GT(rep.messages, 0u);
   }

@@ -167,7 +167,7 @@ TEST(Integration, CredentialLifecycleAcrossEpochs) {
   // is rejected (ID expiry, Section IV-A).
   const auto epoch_next = pow::run_string_protocol(adj, gp, {}, rng);
   pow::BinTable next_table(40, 100);
-  next_table.accept({epoch_next.global_minimum, 1, 8888});
+  EXPECT_TRUE(next_table.accept({epoch_next.global_minimum, 1, 8888}));
   EXPECT_FALSE(pow::verify_credential(cred, next_table.solution_set(8)));
 }
 

@@ -249,10 +249,10 @@ TEST(BinTable, SpamCannotEvictSmallStrings) {
 
 TEST(BinTable, SolutionSetCollectsSmallestFirst) {
   BinTable table(20, 100);
-  table.accept({0.6, 0, 1});
-  table.accept({0.3, 0, 2});
-  table.accept({0.01, 0, 3});
-  table.accept({0.001, 0, 4});
+  EXPECT_TRUE(table.accept({0.6, 0, 1}));
+  EXPECT_TRUE(table.accept({0.3, 0, 2}));
+  EXPECT_TRUE(table.accept({0.01, 0, 3}));
+  EXPECT_TRUE(table.accept({0.001, 0, 4}));
   const auto rset = table.solution_set(3);
   ASSERT_EQ(rset.size(), 3u);
   EXPECT_EQ(rset[0].uid, 4u);  // smallest output first

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -322,22 +323,63 @@ TEST(WorkloadEngine, AdversaryCellTrafficBitIdenticalAcrossShardCounts) {
   // One adversary cell under traffic, trials sharded 1-wide vs 4-wide:
   // merged histograms, counters and the trial-ordered trace fold must
   // all be bit-identical (the acceptance criterion's core clause).
-  for (const auto loop : {scenario::WorkloadAxis::Loop::open,
-                          scenario::WorkloadAxis::Loop::closed}) {
-    const auto spec =
-        small_traffic_spec(scenario::WorkloadAxis::Service::kv, loop);
+  // Every row is pinned too.  The eclipse/tinygroups and
+  // flood/tinygroups rows cover the traffic-level postures (steered
+  // start groups, bogus background load), with retries off and on;
+  // recorded while those postures were still Spec scalars.
+  using scenario::AdversaryKind;
+  using Loop = scenario::WorkloadAxis::Loop;
+  struct Row {
+    AdversaryKind adversary;
+    Loop loop;
+    bool retries;
+    std::uint64_t trace, issued, completed, failed, timed_out, retried;
+  };
+  const Row rows[] = {
+      {AdversaryKind::omit_ids, Loop::open, false, 0x653a03f2aabe410cULL,
+       384, 374, 0, 10, 0},
+      {AdversaryKind::omit_ids, Loop::closed, false, 0x077f56dc37a5fbbdULL,
+       86, 82, 0, 4, 0},
+      {AdversaryKind::eclipse, Loop::open, false, 0xdabbf850509bfdfbULL,
+       384, 309, 6, 69, 0},
+      {AdversaryKind::eclipse, Loop::closed, false, 0xcf6a11df1f12eb95ULL,
+       72, 55, 1, 16, 0},
+      {AdversaryKind::eclipse, Loop::open, true, 0xf6ba139b37395513ULL,
+       384, 366, 8, 10, 90},
+      {AdversaryKind::flood, Loop::open, false, 0xb9b45b780080d4faULL,
+       384, 331, 13, 40, 0},
+      {AdversaryKind::flood, Loop::closed, false, 0x95eda0d9169b7c2cULL,
+       85, 79, 0, 6, 0},
+      {AdversaryKind::flood, Loop::closed, true, 0x34ff4d74914086efULL,
+       82, 82, 0, 0, 5},
+  };
+  for (const Row& row : rows) {
+    auto spec = small_traffic_spec(scenario::WorkloadAxis::Service::kv,
+                                   row.loop, row.adversary);
+    spec.workload.retries = row.retries;
+    const std::string label = std::string(scenario::to_string(row.adversary)) +
+                              (row.loop == Loop::open ? " open" : " closed") +
+                              (row.retries ? " retries" : "");
     const auto one = workload::run_traffic_cell(spec, true, 1);
     const auto four = workload::run_traffic_cell(spec, true, 4);
-    EXPECT_EQ(one.trace_hash, four.trace_hash);
-    EXPECT_EQ(one.recorder.issued, four.recorder.issued);
-    EXPECT_EQ(one.recorder.completed, four.recorder.completed);
-    EXPECT_EQ(one.recorder.failed, four.recorder.failed);
-    EXPECT_EQ(one.recorder.timed_out, four.recorder.timed_out);
+    EXPECT_EQ(one.trace_hash, four.trace_hash) << label;
+    EXPECT_EQ(one.recorder.issued, four.recorder.issued) << label;
+    EXPECT_EQ(one.recorder.completed, four.recorder.completed) << label;
+    EXPECT_EQ(one.recorder.failed, four.recorder.failed) << label;
+    EXPECT_EQ(one.recorder.timed_out, four.recorder.timed_out) << label;
     for (const double q : {0.5, 0.9, 0.99, 0.999}) {
       EXPECT_EQ(one.recorder.latency.value_at_quantile(q),
-                four.recorder.latency.value_at_quantile(q));
+                four.recorder.latency.value_at_quantile(q))
+          << label;
     }
-    EXPECT_GT(one.recorder.issued, 0u);
+    EXPECT_GT(one.recorder.issued, 0u) << label;
+    EXPECT_EQ(one.trace_hash, row.trace) << label;
+    EXPECT_EQ(one.recorder.issued, row.issued) << label;
+    EXPECT_EQ(one.recorder.completed, row.completed) << label;
+    EXPECT_EQ(one.recorder.failed, row.failed) << label;
+    EXPECT_EQ(one.recorder.timed_out, row.timed_out) << label;
+    EXPECT_EQ(one.recorder.retries + one.recorder.hedges, row.retried)
+        << label;
   }
 }
 
@@ -400,6 +442,17 @@ TEST(WorkloadService, AllBlueWorldServesEverything) {
             res.recorder.completed);
 }
 
+TEST(WorkloadService, ZeroTimeoutIsRejected) {
+  // An attempt's timeout wake falls timeout_rounds after its issue, so
+  // 0 would put it in the round that is already running.
+  const World world = synthetic_world(/*red_groups=*/0);
+  KvService service(world, 64, /*salt=*/3);
+  workload::Spec spec;
+  spec.timeout_rounds = 0;
+  EXPECT_THROW((void)workload::run(service, spec, 9, 1),
+               std::invalid_argument);
+}
+
 TEST(WorkloadService, RedGroupsDropOrCorrupt) {
   const World world = synthetic_world(/*red_groups=*/4);
   KvService service(world, 64, /*salt=*/3);
@@ -425,8 +478,8 @@ TEST(WorkloadService, LookupRegistersOnlyOnBlueOwners) {
 
 // ---------------------------------------------------------------------------
 // Self-healing lifecycle regressions: late and duplicate replies must
-// not corrupt the op ledger or double-count the histogram, on BOTH the
-// legacy fire-once path and the retry lifecycle.
+// not corrupt the op ledger or double-count the histogram, with
+// retries off and on.
 // ---------------------------------------------------------------------------
 
 TEST(WorkloadLifecycle, ReplyAfterTimeoutIsStaleNotDoubleCounted) {
@@ -541,6 +594,62 @@ TEST(WorkloadLifecycle, HedgedAttemptsFireAndStayDeterministic) {
   EXPECT_EQ(one.recorder.hedges, four.recorder.hedges);
   EXPECT_EQ(one.recorder.completed, four.recorder.completed);
   EXPECT_EQ(one.recorder.finished(), one.recorder.issued);
+}
+
+TEST(WorkloadLifecycle, ClosedLoopKvTrafficIsPinned) {
+  // Closed-loop kv clients with retries off and with retries and hedges
+  // on, under a rule that drops and delays: timeouts, retries, hedges
+  // and stale replies all occur, and one red group drops requests and
+  // corrupts replies.  Recorded with a session bound while retries off
+  // still ran a separate fire-once path beside the op ledger.
+  struct Pin {
+    bool retry;
+    std::uint64_t trace, metrics, events;
+    std::uint64_t issued, completed, failed, timed_out, analytic, retries,
+        hedges, stale, delivered;
+  };
+  for (const Pin& pin :
+       {Pin{false, 0x8627ac7e2715919cULL, 0x5284a91c68aae74fULL,
+            0x7f48e6ce0342e656ULL, 52, 19, 3, 30, 7029, 0, 0, 1, 156},
+        Pin{true, 0xa4d010fcbdf54e90ULL, 0xf735faabadf91181ULL,
+            0x65fe8734011ed07eULL, 37, 34, 2, 1, 8964, 19, 29, 3, 225}}) {
+    const World world = synthetic_world(/*red_groups=*/1);
+    KvService service(world, 64, /*salt=*/3);
+    workload::Spec spec;
+    spec.mode = workload::Mode::closed_loop;
+    spec.clients = 6;
+    spec.rounds = 96;
+    spec.timeout_rounds = 12;
+    spec.retry.enabled = pin.retry;
+    spec.retry.hedge = pin.retry;
+    fault::HazardRule rule;
+    rule.drop_prob = 0.1;
+    rule.delay_prob = 0.3;
+    rule.max_delay_rounds = 4;
+    spec.faults.seed = 7;
+    spec.faults.rules.push_back(rule);
+    telemetry::Session session;
+    telemetry::set_active(&session);
+    const auto run = workload::run(service, spec, 33, 1);
+    telemetry::set_active(nullptr);
+    const Recorder& r = run.recorder;
+    EXPECT_EQ(run.trace_hash, pin.trace) << "retry=" << pin.retry;
+    EXPECT_EQ(text_digest(session.metrics_json()), pin.metrics)
+        << "retry=" << pin.retry;
+    EXPECT_EQ(text_digest(session.chrome_trace_json()), pin.events)
+        << "retry=" << pin.retry;
+    EXPECT_EQ(r.issued, pin.issued) << "retry=" << pin.retry;
+    EXPECT_EQ(r.completed, pin.completed) << "retry=" << pin.retry;
+    EXPECT_EQ(r.failed, pin.failed) << "retry=" << pin.retry;
+    EXPECT_EQ(r.timed_out, pin.timed_out) << "retry=" << pin.retry;
+    EXPECT_EQ(r.rounds, 96u) << "retry=" << pin.retry;
+    EXPECT_EQ(r.analytic_messages, pin.analytic) << "retry=" << pin.retry;
+    EXPECT_EQ(r.retries, pin.retries) << "retry=" << pin.retry;
+    EXPECT_EQ(r.hedges, pin.hedges) << "retry=" << pin.retry;
+    EXPECT_EQ(r.stale_replies, pin.stale) << "retry=" << pin.retry;
+    EXPECT_EQ(r.latency.count(), r.finished()) << "retry=" << pin.retry;
+    EXPECT_EQ(run.net.delivered, pin.delivered) << "retry=" << pin.retry;
+  }
 }
 
 // ---------------------------------------------------------------------------
