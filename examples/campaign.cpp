@@ -16,14 +16,20 @@
 // workload engine (src/workload/) drives the service's ops over the
 // cell's adversary x topology world and the JSON rows carry latency
 // percentiles / throughput / loss instead of the analytic metrics.
+// Without it, the traffic-only flags (--loop, --rate, --clients, and
+// --adversary, --faults, --retries on a cell that runs its analytic
+// trial) are refused rather than silently dropped.
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "tinygroups/tinygroups.hpp"
 
@@ -35,8 +41,9 @@ void usage(const char* argv0) {
       << "  --list           print every registered scenario cell and exit\n"
       << "  --filter STR     run cells whose name contains STR or whose\n"
       << "                   campaign tag equals STR (static|dynamic|pow)\n"
-      << "  --trials N       override Monte-Carlo trials per cell\n"
-      << "  --seed S         override the experiment seed\n"
+      << "  --trials N       override Monte-Carlo trials per cell (whole\n"
+      << "                   N >= 1)\n"
+      << "  --seed S         override the experiment seed (whole S >= 0)\n"
       << "  --n N            override the system size (any whole N >= 1,\n"
       << "                   including far above the registry defaults;\n"
       << "                   the estimated per-world memory is printed up\n"
@@ -65,8 +72,10 @@ void usage(const char* argv0) {
       << "                   percentiles, throughput, loss)\n"
       << "  --loop MODE      workload generation mode: open (scheduled\n"
       << "                   arrivals, default) or closed (waiting clients)\n"
-      << "  --rate R         open-loop arrivals per round (default 4)\n"
-      << "  --clients N      closed-loop client count (default 8)\n"
+      << "  --rate R         open-loop arrivals per round (default 4; a\n"
+      << "                   finite R > 0)\n"
+      << "  --clients N      closed-loop client count (default 8; whole\n"
+      << "                   N >= 1)\n"
       << "  --faults PRESET  layer a fault-plan preset onto matched cells'\n"
       << "                   traffic runs: ";
   for (const auto& name : tg::fault::fault_preset_names()) {
@@ -78,6 +87,9 @@ void usage(const char* argv0) {
       << "                   adaptive, which switches strategy per epoch)\n"
       << "  --retries        run matched cells' clients with the\n"
       << "                   self-healing retry/hedge lifecycle\n"
+      << "  (--loop, --rate and --clients need --workload; --faults,\n"
+      << "  --adversary and --retries are refused when a matched cell\n"
+      << "  would run its analytic trial: no --workload, not adaptive/*)\n"
       << "  --metrics-out P  record telemetry during trial runs and write\n"
       << "                   the merged metrics JSON (telemetry.metrics\n"
       << "                   schema) to P; deterministic at any --threads\n"
@@ -88,6 +100,28 @@ void usage(const char* argv0) {
 
 bool ends_with_json(std::string_view path) {
   return path.ends_with(".json");
+}
+
+/// `value` as a whole decimal number; nullopt when it is empty, signed,
+/// has trailing characters or does not fit in 64 bits.
+std::optional<std::uint64_t> whole_number(const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    return std::nullopt;
+  }
+  return n;
+}
+
+/// `value` as a decimal number; nullopt when it is empty or has
+/// trailing characters.
+std::optional<double> number(const std::string& value) {
+  char* end = nullptr;
+  const double x = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0') return std::nullopt;
+  return x;
 }
 
 /// Rough per-trial-world footprint at system size n: two group graphs
@@ -128,6 +162,8 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   bool list_only = false;
+  // Flags only a cell under traffic reads, in command-line order.
+  std::vector<std::string> traffic_flags;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -138,40 +174,45 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A whole number >= `min` (1 for counts, 0 where zero means
+    // something: a seed, the default shard count).
+    const auto whole = [&](std::uint64_t min) {
+      const std::string value = next();
+      const auto n = whole_number(value);
+      if (!n || *n < min) {
+        std::cerr << arg << " needs a whole "
+                  << (min == 0 ? "non-negative" : "positive")
+                  << " integer, got '" << value << "'\n";
+        std::exit(2);
+      }
+      return *n;
+    };
+    if (arg == "--loop" || arg == "--rate" || arg == "--clients" ||
+        arg == "--faults" || arg == "--adversary" || arg == "--retries") {
+      traffic_flags.push_back(arg);
+    }
     if (arg == "--list") {
       list_only = true;
     } else if (arg == "--filter") {
       options.filter = next();
     } else if (arg == "--trials") {
-      options.trials_override = std::strtoull(next().c_str(), nullptr, 10);
+      options.trials_override = whole(1);
     } else if (arg == "--seed") {
-      options.seed_override = std::strtoull(next().c_str(), nullptr, 10);
+      options.seed_override = whole(0);
     } else if (arg == "--n") {
-      const std::string value = next();
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-      const bool whole = std::isdigit(static_cast<unsigned char>(value[0])) &&
-                         *end == '\0' && errno != ERANGE;
-      if (!whole || n == 0) {
-        std::cerr << "--n needs a whole positive integer, got '" << value
-                  << "'\n";
-        return 2;
-      }
-      options.n_override = n;
+      options.n_override = whole(1);
     } else if (arg == "--beta") {
       const std::string value = next();
-      char* end = nullptr;
-      const double beta = std::strtod(value.c_str(), &end);
+      const auto beta = number(value);
       // !(beta < 1.0) also refuses NaN.
-      if (value.empty() || *end != '\0' || !(beta >= 0.0 && beta < 1.0)) {
+      if (!beta || !(*beta >= 0.0 && *beta < 1.0)) {
         std::cerr << "--beta needs a number in [0, 1), got '" << value
                   << "'\n";
         return 2;
       }
-      options.beta_override = beta;
+      options.beta_override = *beta;
     } else if (arg == "--threads") {
-      options.threads = std::strtoull(next().c_str(), nullptr, 10);
+      options.threads = whole(0);
     } else if (arg == "--churn") {
       const std::string name = next();
       const auto schedule = scenario::churn_schedule_by_name(name);
@@ -198,9 +239,16 @@ int main(int argc, char** argv) {
       }
       options.workload.loop = *loop;
     } else if (arg == "--rate") {
-      options.workload.rate = std::strtod(next().c_str(), nullptr);
+      const std::string value = next();
+      const auto rate = number(value);
+      if (!rate || !(std::isfinite(*rate) && *rate > 0.0)) {
+        std::cerr << "--rate needs a finite number > 0, got '" << value
+                  << "'\n";
+        return 2;
+      }
+      options.workload.rate = *rate;
     } else if (arg == "--clients") {
-      options.workload.clients = std::strtoull(next().c_str(), nullptr, 10);
+      options.workload.clients = whole(1);
     } else if (arg == "--faults") {
       const std::string name = next();
       bool known = false;
@@ -278,6 +326,26 @@ int main(int argc, char** argv) {
     std::cerr << "no scenario matches filter '" << options.filter << "' ("
               << registry.scenarios().size() << " cells registered)\n";
     return 1;
+  }
+  // Without --workload a cell runs under traffic only when it was
+  // registered with its own workload axis (the adaptive family), and
+  // even those keep their own loop, rate and clients.
+  if (!options.workload.enabled()) {
+    for (const std::string& flag : traffic_flags) {
+      if (flag == "--loop" || flag == "--rate" || flag == "--clients") {
+        std::cerr << flag << " needs --workload kv|lookup\n";
+        return 2;
+      }
+      for (const auto* cell : matched) {
+        if (!cell->spec.workload.enabled()) {
+          std::cerr << flag << " would be ignored by cell '"
+                    << cell->spec.name
+                    << "', which runs its analytic trial; add --workload "
+                       "kv|lookup or narrow --filter\n";
+          return 2;
+        }
+      }
+    }
   }
   std::cout << "campaign: expanding " << matched.size() << " of "
             << registry.scenarios().size() << " registered cells"

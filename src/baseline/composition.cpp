@@ -1,6 +1,21 @@
 #include "baseline/composition.hpp"
 
+#include "core/group_graph.hpp"
+
 namespace tg::baseline {
+
+std::vector<GroupComposition> graph_compositions(
+    const core::GroupGraph& graph) {
+  std::vector<GroupComposition> out(graph.size());
+  const core::Population& pool = graph.member_pool();
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    for (const auto m : graph.group(i).members) {
+      ++out[i].size;
+      if (pool.is_bad(m)) ++out[i].bad;
+    }
+  }
+  return out;
+}
 
 double majority_bad_fraction(
     const std::vector<GroupComposition>& groups) noexcept {

@@ -11,6 +11,10 @@
 #include <cstddef>
 #include <vector>
 
+namespace tg::core {
+class GroupGraph;
+}
+
 namespace tg::baseline {
 
 struct GroupComposition {
@@ -26,6 +30,12 @@ struct GroupComposition {
     return size != 0 && 2 * bad >= size;
   }
 };
+
+/// Composition snapshot of a group graph, one entry per group: the
+/// same shape the region baselines expose, so cross-topology metrics
+/// share one code path.
+[[nodiscard]] std::vector<GroupComposition> graph_compositions(
+    const core::GroupGraph& graph);
 
 /// Fraction of groups that lost their good majority.
 [[nodiscard]] double majority_bad_fraction(

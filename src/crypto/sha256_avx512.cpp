@@ -23,7 +23,14 @@
 
 #if defined(__x86_64__) && defined(__AVX512F__)
 #include <cpuid.h>
+// GCC 12 flags the undefined-vector placeholder `__Y` in
+// avx512fintrin.h as -Wuninitialized wherever its intrinsics inline
+// (bswap32_avx512f's rotates): a false positive in the header, so the
+// check is off for the header alone.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 namespace tg::crypto::detail {

@@ -1,15 +1,15 @@
 // The builtin campaign grid: every ported adversary strategy expanded
 // against every group topology.
 //
-// Cells share a small vocabulary of world builders:
+// Cells build their worlds from the shared builders in world.hpp:
 //   * graph worlds (tinygroups / logn_groups) — a pristine GroupGraph
 //     at the topology's group size,
 //   * region worlds (cuckoo / commensal_cuckoo) — the respective
 //     join-leave simulation churned for the spec's schedule, then
 //     snapshotted as per-group compositions,
-// so each adversary runs the SAME attack against every structure and
-// the emitted metrics are directly comparable across topologies —
-// which is the paper's comparative argument, mechanized.
+// so each adversary runs the SAME attack against every structure, and
+// a cell's traffic read-out (workload/traffic.cpp) faces the same
+// world — which is the paper's comparative argument, mechanized.
 //
 // Every trial derives all randomness (oracle seeds included) from the
 // trial RNG handed in by sim::run_trials_multi, so a cell's statistics
@@ -21,118 +21,42 @@
 #include "adversary/eclipse.hpp"
 #include "adversary/flood.hpp"
 #include "adversary/late_release.hpp"
-#include "adversary/omit_ids.hpp"
-#include "adversary/precompute.hpp"
 #include "adversary/target_group.hpp"
-#include "baseline/commensal_cuckoo.hpp"
 #include "baseline/composition.hpp"
-#include "baseline/cuckoo.hpp"
 #include "baseline/logn_groups.hpp"
 #include "core/bootstrap.hpp"
 #include "core/group_graph.hpp"
-#include "core/params.hpp"
-#include "core/population.hpp"
 #include "crypto/oracle.hpp"
 #include "pow/gossip.hpp"
-#include "pow/puzzle.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/world.hpp"
 #include "workload/traffic.hpp"
 
 namespace tg::scenario {
 namespace {
 
-// Attack knobs shared by every topology so cells stay comparable.
-constexpr double kEclipsedFraction = 0.25;  ///< steered contact slots
+// Attack knobs of the analytic cells alone (the shared ones live in
+// world.hpp).
 constexpr std::size_t kFloodVictims = 32;
 constexpr std::size_t kFloodRequestsPerVictim = 8;
-constexpr std::size_t kLateStrings = 4;        ///< injected lottery strings
-constexpr std::uint64_t kPuzzleAttemptsPerEpoch = 1 << 14;
-constexpr double kPuzzleExpectedAttempts = 2048.0;
+constexpr std::size_t kLateStrings = 4;  ///< injected lottery strings
 
-[[nodiscard]] bool is_region(Topology t) noexcept {
-  return t == Topology::cuckoo || t == Topology::commensal_cuckoo;
-}
-
-/// Params for a graph world; the only difference between the
-/// tinygroups and logn_groups topologies is the group size.
-[[nodiscard]] core::Params graph_params(const ScenarioSpec& spec, Rng& rng) {
-  core::Params p;
-  p.n = spec.n;
-  p.beta = spec.beta;
-  p.seed = rng();  // fresh oracles per trial, derived from the trial RNG
-  if (spec.topology == Topology::logn_groups) p = baseline::logn_baseline(p);
-  return p;
-}
-
-/// The tiny |G| both region baselines are run at — the paper's point
-/// is precisely that the cuckoo rules need |G| far above this.
-[[nodiscard]] std::size_t tiny_group_size(std::size_t n) noexcept {
-  core::Params p;
-  p.n = n;
-  return p.group_size();
-}
-
-/// Churn a region baseline under the spec's schedule and snapshot it.
-[[nodiscard]] std::vector<baseline::GroupComposition> region_world(
-    const ScenarioSpec& spec, Rng& rng) {
-  const std::size_t rounds = spec.churn.total_rounds();
-  const std::size_t group_size = tiny_group_size(spec.n);
-  if (spec.topology == Topology::cuckoo) {
-    baseline::CuckooParams cp;
-    cp.n = spec.n;
-    cp.beta = spec.beta;
-    cp.group_size = group_size;
-    baseline::CuckooSimulation sim(cp, rng);
-    (void)sim.run(rounds, rng);
-    return sim.compositions();
+/// The groups a placement attack's population lands in: contiguous
+/// regions on region worlds; on graph worlds, a pristine graph over it
+/// built for its size and the given beta.
+[[nodiscard]] std::vector<baseline::GroupComposition> placed_groups(
+    const ScenarioSpec& spec, core::Population pop, double beta,
+    Rng& rng) {
+  if (is_region(spec.topology)) {
+    return bucket_population(pop, tiny_group_size(spec.n));
   }
-  baseline::CommensalParams cp;
-  cp.n = spec.n;
-  cp.beta = spec.beta;
-  cp.group_size = group_size;
-  baseline::CommensalCuckooSimulation sim(cp, rng);
-  (void)sim.run(rounds, rng);
-  return sim.compositions();
-}
-
-/// Composition snapshot of a group graph (same shape the region
-/// baselines expose, so cross-topology metrics share one code path).
-[[nodiscard]] std::vector<baseline::GroupComposition> graph_compositions(
-    const core::GroupGraph& graph) {
-  std::vector<baseline::GroupComposition> out(graph.size());
-  const core::Population& pool = graph.member_pool();
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    for (const auto m : graph.group(i).members) {
-      ++out[i].size;
-      if (pool.is_bad(m)) ++out[i].bad;
-    }
-  }
-  return out;
-}
-
-/// Bucket a population into contiguous regions of expected size
-/// `group_size` (the region baselines' group structure, without churn
-/// — used by placement attacks that act at join time).
-[[nodiscard]] std::vector<baseline::GroupComposition> bucket_population(
-    const core::Population& pop, std::size_t group_size) {
-  const std::size_t groups =
-      std::max<std::size_t>(1, pop.size() / std::max<std::size_t>(1, group_size));
-  std::vector<baseline::GroupComposition> out(groups);
-  const auto& points = pop.table().points();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto g = std::min(
-        groups - 1, static_cast<std::size_t>(points[i].to_double() *
-                                             static_cast<double>(groups)));
-    ++out[g].size;
-    if (pop.is_bad(i)) ++out[g].bad;
-  }
-  return out;
-}
-
-[[nodiscard]] core::GroupGraph build_graph(
-    const core::Params& p, std::shared_ptr<const core::Population> pop,
-    const crypto::RandomOracle& oracle) {
-  return core::GroupGraph::pristine(p, std::move(pop), oracle);
+  core::Params p = graph_params(spec, rng);
+  p.n = pop.size();  // omission shrinks the injected population
+  p.beta = beta;
+  const crypto::OracleSuite oracles(p.seed);
+  return baseline::graph_compositions(core::GroupGraph::pristine(
+      p, std::make_shared<const core::Population>(std::move(pop)),
+      oracles.h1));
 }
 
 // ---------------------------------------------------------------------------
@@ -146,31 +70,9 @@ constexpr double kPuzzleExpectedAttempts = 2048.0;
 void run_target_group(const ScenarioSpec& spec, Rng& rng,
                       std::vector<double>& out) {
   if (is_region(spec.topology)) {
-    const std::size_t rounds = spec.churn.total_rounds();
-    const std::size_t group_size = tiny_group_size(spec.n);
-    double captured = 0.0;
-    double worst = 0.0;
-    if (spec.topology == Topology::cuckoo) {
-      baseline::CuckooParams cp;
-      cp.n = spec.n;
-      cp.beta = spec.beta;
-      cp.group_size = group_size;
-      baseline::CuckooSimulation sim(cp, rng);
-      const auto o = sim.run(rounds, rng);
-      captured = o.first_failure_round.has_value() ? 1.0 : 0.0;
-      worst = o.max_bad_fraction_seen;
-    } else {
-      baseline::CommensalParams cp;
-      cp.n = spec.n;
-      cp.beta = spec.beta;
-      cp.group_size = group_size;
-      baseline::CommensalCuckooSimulation sim(cp, rng);
-      const auto o = sim.run(rounds, rng);
-      captured = o.first_failure_round.has_value() ? 1.0 : 0.0;
-      worst = o.max_bad_fraction_seen;
-    }
-    out[0] = captured;
-    out[1] = worst;
+    const RegionChurn churn = churn_regions(spec, rng);
+    out[0] = churn.captured ? 1.0 : 0.0;
+    out[1] = churn.max_bad_fraction;
     return;
   }
   // Graph worlds: one targeted-join budget per churn epoch; the
@@ -193,7 +95,7 @@ void run_eclipse(const ScenarioSpec& spec, Rng& rng,
                  std::vector<double>& out) {
   adversary::EclipseReport rep;
   if (is_region(spec.topology)) {
-    const auto regions = region_world(spec, rng);
+    const auto regions = churn_regions(spec, rng).groups;
     const std::size_t contacts = core::bootstrap_group_count(regions.size());
     rep = adversary::eclipsed_bootstrap_regions(regions, contacts,
                                                 kEclipsedFraction, rng);
@@ -202,7 +104,7 @@ void run_eclipse(const ScenarioSpec& spec, Rng& rng,
     const crypto::OracleSuite oracles(p.seed);
     auto pop = std::make_shared<const core::Population>(
         core::Population::uniform(p.n, p.beta, rng));
-    const auto graph = build_graph(p, pop, oracles.h1);
+    const auto graph = core::GroupGraph::pristine(p, pop, oracles.h1);
     rep = adversary::eclipsed_bootstrap(graph, kEclipsedFraction, rng);
   }
   out[0] = rep.good_majority ? 0.0 : 1.0;
@@ -216,16 +118,16 @@ void run_eclipse(const ScenarioSpec& spec, Rng& rng,
 void run_flood(const ScenarioSpec& spec, Rng& rng, std::vector<double>& out) {
   adversary::FloodReport rep;
   if (is_region(spec.topology)) {
-    const auto regions = region_world(spec, rng);
     rep = adversary::flood_membership_requests_regions(
-        regions, kFloodVictims, kFloodRequestsPerVictim, rng);
+        churn_regions(spec, rng).groups, kFloodVictims,
+        kFloodRequestsPerVictim, rng);
   } else {
     const core::Params p = graph_params(spec, rng);
     const crypto::OracleSuite oracles(p.seed);
     auto pop = std::make_shared<const core::Population>(
         core::Population::uniform(p.n, p.beta, rng));
-    const auto g1 = build_graph(p, pop, oracles.h1);
-    const auto g2 = build_graph(p, pop, oracles.h2);
+    const auto g1 = core::GroupGraph::pristine(p, pop, oracles.h1);
+    const auto g2 = core::GroupGraph::pristine(p, pop, oracles.h2);
     rep = adversary::flood_membership_requests(
         g1, g2, kFloodVictims, kFloodRequestsPerVictim, rng);
   }
@@ -237,22 +139,8 @@ void run_flood(const ScenarioSpec& spec, Rng& rng, std::vector<double>& out) {
 /// mints a u.a.r. pool but injects only a clustered subset.
 void run_omit_ids(const ScenarioSpec& spec, Rng& rng,
                   std::vector<double>& out) {
-  const auto n_bad =
-      static_cast<std::size_t>(spec.beta * static_cast<double>(spec.n));
-  const core::Population pop = adversary::build_omitted_population(
-      spec.n - n_bad, n_bad, adversary::OmissionStrategy::keep_clustered, rng);
-
-  std::vector<baseline::GroupComposition> groups;
-  if (is_region(spec.topology)) {
-    groups = bucket_population(pop, tiny_group_size(spec.n));
-  } else {
-    core::Params p = graph_params(spec, rng);
-    p.n = pop.size();  // omission shrank the injected population
-    const crypto::OracleSuite oracles(p.seed);
-    const auto graph = build_graph(
-        p, std::make_shared<const core::Population>(pop), oracles.h1);
-    groups = graph_compositions(graph);
-  }
+  const auto groups =
+      placed_groups(spec, omitted_population(spec, rng), spec.beta, rng);
   out[0] = baseline::majority_bad_fraction(groups);
   out[1] = baseline::max_bad_fraction(groups);
 }
@@ -261,31 +149,10 @@ void run_omit_ids(const ScenarioSpec& spec, Rng& rng,
 /// (Section IV-B); the burst's damage depends on the group structure.
 void run_precompute(const ScenarioSpec& spec, Rng& rng,
                     std::vector<double>& out) {
-  const std::uint64_t tau =
-      pow::tau_for_expected_attempts(kPuzzleExpectedAttempts);
-  const auto rep = adversary::simulate_stockpile(
-      kPuzzleAttemptsPerEpoch, spec.churn.epochs, tau, rng);
-
-  // Deploy the un-defended stockpile all at once: an effective burst
-  // beta against a fresh epoch of n honest IDs.
-  const double burst = static_cast<double>(rep.ids_without_strings);
-  const double burst_beta = std::min(
-      0.49, burst / (burst + static_cast<double>(spec.n)));
-  const core::Population pop =
-      core::Population::uniform(spec.n, burst_beta, rng);
-
-  std::vector<baseline::GroupComposition> groups;
-  if (is_region(spec.topology)) {
-    groups = bucket_population(pop, tiny_group_size(spec.n));
-  } else {
-    core::Params p = graph_params(spec, rng);
-    p.beta = burst_beta;
-    const crypto::OracleSuite oracles(p.seed);
-    const auto graph = build_graph(
-        p, std::make_shared<const core::Population>(pop), oracles.h1);
-    groups = graph_compositions(graph);
-  }
-  out[0] = rep.amplification;
+  StockpileBurst burst = stockpile_burst(spec, rng);
+  const auto groups =
+      placed_groups(spec, std::move(burst.population), burst.beta, rng);
+  out[0] = burst.amplification;
   out[1] = baseline::majority_bad_fraction(groups);
 }
 
@@ -368,39 +235,40 @@ void register_builtin_grid(Registry& registry) {
       Topology::cuckoo,
       Topology::commensal_cuckoo,
   };
+  // Names the cell "<adversary>/<topology>" and seeds it from the name
+  // (FNV-1a, not std::hash: the seed must be identical across standard
+  // libraries) so sibling cells never share trial streams.
+  const auto add = [&registry](Scenario cell) {
+    cell.spec.name = std::string(to_string(cell.spec.adversary)) + "/" +
+                     std::string(to_string(cell.spec.topology));
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char c : cell.spec.name) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+    cell.spec.seed = mix64(h);
+    registry.add(std::move(cell));
+  };
 
   for (const CellFamily& family : families) {
     for (const Topology topology : topologies) {
       Scenario cell;
-      cell.spec.name = std::string(to_string(family.adversary)) + "/" +
-                       std::string(to_string(topology));
       cell.spec.campaign = family.campaign;
       cell.spec.adversary = family.adversary;
       cell.spec.topology = topology;
       if (family.campaign == "pow") cell.spec.churn.epochs = 8;
-      // Cell seeds are decorrelated by name (FNV-1a, not
-      // std::hash: the seed must be identical across standard
-      // libraries) so sibling cells never share trial streams.
-      std::uint64_t h = 1469598103934665603ULL;
-      for (const char c : cell.spec.name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-      }
-      cell.spec.seed = mix64(h);
       cell.metrics = family.metrics;
       cell.trial = family.trial;
-      registry.add(std::move(cell));
+      add(std::move(cell));
     }
   }
 
-  // The adaptive family (PR 9): strategy-switching adversary measured
+  // The adaptive family: the strategy-switching adversary measured
   // under client traffic with the self-healing lifecycle on.  These
   // cells carry their own workload axis — run_cell sees it enabled and
   // reports workload::traffic_metric_names() instead of cell.metrics.
   for (const Topology topology : topologies) {
     Scenario cell;
-    cell.spec.name =
-        std::string("adaptive/") + std::string(to_string(topology));
     cell.spec.campaign = "faults";
     cell.spec.adversary = AdversaryKind::adaptive;
     cell.spec.topology = topology;
@@ -412,15 +280,9 @@ void register_builtin_grid(Registry& registry) {
     cell.spec.workload.rounds = 96;
     cell.spec.workload.timeout_rounds = 16;
     cell.spec.workload.retries = true;
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : cell.spec.name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    cell.spec.seed = mix64(h);
     cell.metrics = workload::traffic_metric_names();
     cell.trial = run_adaptive_cell;
-    registry.add(std::move(cell));
+    add(std::move(cell));
   }
 }
 

@@ -514,11 +514,11 @@ class Capture {
   /// (with its track stamp pre-set to the key).
   [[nodiscard]] Session& session_for(std::uint64_t track_key);
 
-  /// Monotone scope id for trial fan-outs: each run_trials-style call
-  /// claims one scope and keys its trials as (scope << 32) | trial, so
-  /// sequential campaign cells never collide on a track.  Counts from
-  /// zero per Capture, which keeps repeated runs against fresh
-  /// captures byte-comparable.
+  /// Monotone scope id for trial fan-outs: each sim::for_each_trial
+  /// call claims one scope and keys its trials as
+  /// (scope << 32) | trial, so sequential campaign cells never collide
+  /// on a track.  Counts from zero per Capture, which keeps repeated
+  /// runs against fresh captures byte-comparable.
   [[nodiscard]] std::uint64_t next_scope() noexcept {
     return scope_counter_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -540,8 +540,9 @@ class Capture {
 };
 
 /// Process-wide capture registration (the campaign CLI sets this when
-/// --metrics-out/--trace-out are given; run_traffic_cell binds a
-/// per-trial session from it around each trial).  Not owned.
+/// --metrics-out/--trace-out are given; sim::for_each_trial, the
+/// fan-out under both trial runners, binds a per-trial session from
+/// it around each trial).  Not owned.
 inline void set_capture(Capture* c) noexcept {
   detail::g_capture.store(c, std::memory_order_release);
 }

@@ -14,15 +14,9 @@ World World::from_graph(std::shared_ptr<const core::GroupGraph> graph) {
   World world;
   world.graph_ = std::move(graph);
   const core::GroupGraph& g = *world.graph_;
-  const core::Population& pool = g.member_pool();
-  world.compositions_.resize(g.size());
+  world.compositions_ = baseline::graph_compositions(g);
   world.red_.resize(g.size());
   for (std::size_t i = 0; i < g.size(); ++i) {
-    baseline::GroupComposition& comp = world.compositions_[i];
-    for (const auto m : g.group(i).members) {
-      ++comp.size;
-      if (pool.is_bad(m)) ++comp.bad;
-    }
     world.red_[i] = g.is_red(i) ? 1 : 0;
   }
   world.finish_init();

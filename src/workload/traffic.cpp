@@ -1,117 +1,44 @@
+// The campaign bridge's trial runners.  A cell's world comes from the
+// scenario layer's world builders (scenario/world.hpp), the same ones
+// its analytic trial uses; this file adds only what traffic needs on
+// top: the service, the engine spec and the adversary's traffic-level
+// posture.
 #include "workload/traffic.hpp"
 
 #include <algorithm>
 #include <utility>
 
 #include "adversary/adaptive.hpp"
-#include "adversary/omit_ids.hpp"
-#include "adversary/precompute.hpp"
-#include "baseline/commensal_cuckoo.hpp"
-#include "baseline/cuckoo.hpp"
-#include "baseline/logn_groups.hpp"
 #include "core/params.hpp"
 #include "core/population.hpp"
 #include "crypto/oracle.hpp"
-#include "pow/puzzle.hpp"
-#include "telemetry/telemetry.hpp"
-#include "util/thread_pool.hpp"
+#include "scenario/world.hpp"
+#include "sim/trial_runner.hpp"
 
 namespace tg::workload {
 namespace {
 
 using scenario::AdversaryKind;
 using scenario::ScenarioSpec;
-using scenario::Topology;
 using scenario::WorkloadAxis;
 
-// Attack knobs mirroring the analytic cells (src/scenario/cells.cpp)
-// so a cell's traffic read-out faces the same adversary strength.
-constexpr double kEclipsedFraction = 0.25;
+// Traffic-level attack knobs (the strengths shared with the analytic
+// cells live in scenario/world.hpp).
 constexpr double kFloodBackgroundMultiplier = 2.0;
 constexpr std::size_t kLateReleaseDelayRounds = 2;
-constexpr std::uint64_t kPuzzleAttemptsPerEpoch = 1 << 14;
-constexpr double kPuzzleExpectedAttempts = 2048.0;
 
-[[nodiscard]] bool is_region(Topology t) noexcept {
-  return t == Topology::cuckoo || t == Topology::commensal_cuckoo;
-}
-
-[[nodiscard]] std::size_t tiny_group_size(std::size_t n) noexcept {
-  core::Params p;
-  p.n = n;
-  return p.group_size();
-}
-
-/// Contiguous-region bucketing of a population (the region baselines'
-/// group structure at join time; cf. cells.cpp).
-[[nodiscard]] std::vector<baseline::GroupComposition> bucket_population(
-    const core::Population& pop, std::size_t group_size) {
-  const std::size_t groups = std::max<std::size_t>(
-      1, pop.size() / std::max<std::size_t>(1, group_size));
-  std::vector<baseline::GroupComposition> out(groups);
-  const auto& points = pop.table().points();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto g = std::min(
-        groups - 1, static_cast<std::size_t>(points[i].to_double() *
-                                             static_cast<double>(groups)));
-    ++out[g].size;
-    if (pop.is_bad(i)) ++out[g].bad;
-  }
-  return out;
-}
-
-[[nodiscard]] std::vector<baseline::GroupComposition> churned_regions(
-    const ScenarioSpec& spec, Rng& rng) {
-  const std::size_t rounds = spec.churn.total_rounds();
-  const std::size_t group_size = tiny_group_size(spec.n);
-  if (spec.topology == Topology::cuckoo) {
-    baseline::CuckooParams cp;
-    cp.n = spec.n;
-    cp.beta = spec.beta;
-    cp.group_size = group_size;
-    baseline::CuckooSimulation sim(cp, rng);
-    (void)sim.run(rounds, rng);
-    return sim.compositions();
-  }
-  baseline::CommensalParams cp;
-  cp.n = spec.n;
-  cp.beta = spec.beta;
-  cp.group_size = group_size;
-  baseline::CommensalCuckooSimulation sim(cp, rng);
-  (void)sim.run(rounds, rng);
-  return sim.compositions();
-}
-
-/// The stockpile burst's effective beta (cf. run_precompute).
-[[nodiscard]] double burst_beta(const ScenarioSpec& spec, Rng& rng) {
-  const std::uint64_t tau =
-      pow::tau_for_expected_attempts(kPuzzleExpectedAttempts);
-  const auto rep = adversary::simulate_stockpile(
-      kPuzzleAttemptsPerEpoch, spec.churn.epochs, tau, rng);
-  const double burst = static_cast<double>(rep.ids_without_strings);
-  return std::min(0.49, burst / (burst + static_cast<double>(spec.n)));
-}
-
+/// Graph worlds draw the oracle seed and a uniform population first;
+/// a placement adversary then replaces the population.
 World graph_world(const ScenarioSpec& spec, bool with_adversary, Rng& rng) {
-  core::Params p;
-  p.n = spec.n;
-  p.beta = spec.beta;
-  p.seed = rng();  // fresh oracles per trial, derived from the trial RNG
-  if (spec.topology == Topology::logn_groups) p = baseline::logn_baseline(p);
-
+  core::Params p = scenario::graph_params(spec, rng);
   core::Population pop = core::Population::uniform(p.n, p.beta, rng);
-  if (with_adversary) {
-    if (spec.adversary == AdversaryKind::omit_ids) {
-      const auto n_bad =
-          static_cast<std::size_t>(spec.beta * static_cast<double>(spec.n));
-      pop = adversary::build_omitted_population(
-          spec.n - n_bad, n_bad, adversary::OmissionStrategy::keep_clustered,
-          rng);
-      p.n = pop.size();
-    } else if (spec.adversary == AdversaryKind::precompute) {
-      p.beta = burst_beta(spec, rng);
-      pop = core::Population::uniform(spec.n, p.beta, rng);
-    }
+  if (with_adversary && spec.adversary == AdversaryKind::omit_ids) {
+    pop = scenario::omitted_population(spec, rng);
+    p.n = pop.size();
+  } else if (with_adversary && spec.adversary == AdversaryKind::precompute) {
+    scenario::StockpileBurst burst = scenario::stockpile_burst(spec, rng);
+    p.beta = burst.beta;
+    pop = std::move(burst.population);
   }
   const crypto::OracleSuite oracles(p.seed);
   auto graph = std::make_shared<core::GroupGraph>(core::GroupGraph::pristine(
@@ -120,16 +47,16 @@ World graph_world(const ScenarioSpec& spec, bool with_adversary, Rng& rng) {
   return World::from_graph(std::move(graph));
 }
 
-World region_traffic_world(const ScenarioSpec& spec, bool with_adversary,
-                           Rng& rng) {
+World region_world(const ScenarioSpec& spec, bool with_adversary, Rng& rng) {
   if (with_adversary) {
     // Every region cell serves from the structure its join-leave
     // campaign produced (the attack IS the churn).
-    return World::from_regions(churned_regions(spec, rng));
+    return World::from_regions(scenario::churn_regions(spec, rng).groups);
   }
   const core::Population pop =
       core::Population::uniform(spec.n, spec.beta, rng);
-  return World::from_regions(bucket_population(pop, tiny_group_size(spec.n)));
+  return World::from_regions(
+      scenario::bucket_population(pop, scenario::tiny_group_size(spec.n)));
 }
 
 void fill_metrics(const Recorder& r, std::vector<double>& out) {
@@ -249,8 +176,8 @@ const std::vector<std::string>& traffic_metric_names() {
 
 World world_for_trial(const ScenarioSpec& spec, bool with_adversary,
                       Rng& rng) {
-  return is_region(spec.topology)
-             ? region_traffic_world(spec, with_adversary, rng)
+  return scenario::is_region(spec.topology)
+             ? region_world(spec, with_adversary, rng)
              : graph_world(spec, with_adversary, rng);
 }
 
@@ -278,7 +205,7 @@ Spec engine_spec(const ScenarioSpec& spec, bool with_adversary) {
   if (!with_adversary) return out;
   switch (spec.adversary) {
     case AdversaryKind::eclipse:
-      out.phases.push_back(AttackPhase{0, kEclipsedFraction, 0.0});
+      out.phases.push_back(AttackPhase{0, scenario::kEclipsedFraction, 0.0});
       break;
     case AdversaryKind::flood:
       out.phases.push_back(AttackPhase{
@@ -297,44 +224,20 @@ void run_traffic_trial(const ScenarioSpec& spec, Rng& rng,
   fill_metrics(run_one(spec, /*with_adversary=*/true, rng).recorder, out);
 }
 
-void run_benign_traffic_trial(const ScenarioSpec& spec, Rng& rng,
-                              std::vector<double>& out) {
-  fill_metrics(run_one(spec, /*with_adversary=*/false, rng).recorder, out);
-}
-
 CellTraffic run_traffic_cell(const ScenarioSpec& spec, bool with_adversary,
                              std::size_t threads) {
-  const std::size_t trials = std::max<std::size_t>(1, spec.trials);
-  const std::size_t shard_count =
-      std::min<std::size_t>(trials, threads == 0 ? 8 : threads);
-  std::vector<Recorder> shard_recorders(shard_count);
-  std::vector<std::uint64_t> trace(trials);
-  // Telemetry capture: same (scope, trial) track keying as
-  // sim::run_trials_multi, so the merged export never depends on the
-  // shard count or schedule.
-  telemetry::Capture* const cap = telemetry::capture();
-  const std::uint64_t telem_scope = cap != nullptr ? cap->next_scope() : 0;
-  parallel_for_shards(
-      shard_count,
-      [&](std::size_t shard) {
-        for (std::size_t t = shard; t < trials; t += shard_count) {
-          telemetry::Session* session = nullptr;
-          if (cap != nullptr) {
-            session = &cap->session_for((telem_scope << 32) | t);
-          }
-          telemetry::ThreadBind bind(session);
-          // Same sharding-invariant per-trial seeding as
-          // sim::run_trials_multi: results never depend on the shard
-          // count or schedule.
-          Rng rng(mix64(spec.seed ^ (0x9e3779b97f4a7c15ULL * (t + 1))));
-          const RunResult res = run_one(spec, with_adversary, rng);
-          shard_recorders[shard].merge(res.recorder);
-          trace[t] = res.trace_hash;
-        }
-      },
-      threads);
   CellTraffic out;
-  out.trials = trials;
+  out.trials = std::max<std::size_t>(1, spec.trials);
+  std::vector<Recorder> shard_recorders(
+      sim::trial_shards(out.trials, threads));
+  std::vector<std::uint64_t> trace(out.trials);
+  sim::for_each_trial(
+      out.trials, spec.seed, threads,
+      [&](std::size_t shard, std::size_t t, Rng& rng) {
+        const RunResult res = run_one(spec, with_adversary, rng);
+        shard_recorders[shard].merge(res.recorder);
+        trace[t] = res.trace_hash;
+      });
   for (const Recorder& shard : shard_recorders) out.recorder.merge(shard);
   std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   for (const std::uint64_t t : trace) {

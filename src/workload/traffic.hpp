@@ -4,10 +4,11 @@
 // The scenario registry's cells measure protocol internals (capture
 // rates, placement skew).  This module gives every cell a second
 // read-out: build the cell's world — its topology under its
-// adversary's placement/steering effect — and drive the workload
-// engine's open- or closed-loop traffic over it, reporting service
-// metrics (latency percentiles, throughput, loss) instead.  The
-// adversary mapping is:
+// adversary's placement/steering effect, from the same world builders
+// and attack strengths as the analytic trial (scenario/world.hpp) —
+// and drive the workload engine's open- or closed-loop traffic over
+// it, reporting service metrics (latency percentiles, throughput,
+// loss) instead.  The adversary mapping is:
 //
 //   target_group   regions churned by the concentration attack
 //                  (graph worlds: u.a.r. placements — PoW forces it)
@@ -19,8 +20,10 @@
 //   late_release   delivery delay (withheld-information latency)
 //
 // Determinism: a traffic trial derives ALL randomness (world, oracle
-// seeds, arrival draws) from the trial rng, so cell traffic metrics
-// are a pure function of (spec, seed) exactly like every other cell.
+// seeds, arrival draws) from the trial rng, and run_traffic_cell fans
+// trials out through the campaign's own sim::for_each_trial, so cell
+// traffic metrics are a pure function of (spec, seed) exactly like
+// every other cell.
 #pragma once
 
 #include <memory>
@@ -56,14 +59,12 @@ namespace tg::workload {
 /// metrics into `out` (sized to traffic_metric_names().size()).
 void run_traffic_trial(const scenario::ScenarioSpec& spec, Rng& rng,
                        std::vector<double>& out);
-/// The benign control of the same spec (adversary ignored).
-void run_benign_traffic_trial(const scenario::ScenarioSpec& spec, Rng& rng,
-                              std::vector<double>& out);
 
-/// Shard-merged traffic over spec.trials trials: recorders merge in
-/// shard order (bucket counts are integers, so the merged histogram —
-/// and hence every percentile — is bit-identical at any thread
-/// count); trace hashes fold in trial order.
+/// Shard-merged traffic over spec.trials trials, fanned out by
+/// sim::for_each_trial: recorders merge in shard order (bucket counts
+/// are integers, so the merged histogram — and hence every percentile
+/// — is bit-identical at any thread count); trace hashes fold in trial
+/// order.
 struct CellTraffic {
   Recorder recorder;
   std::uint64_t trace_hash = 0;

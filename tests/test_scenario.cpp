@@ -2,7 +2,9 @@
 // determinism, and route_outbox under an active delivery policy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -208,6 +210,89 @@ TEST(ScenarioCampaign, ReportEmitsOneRowPerMetricPlusSummary) {
   bench::JsonReporter reporter("scenarios_test");
   CampaignRunner::report(results, reporter);
   EXPECT_EQ(reporter.rows(), cell->metrics.size() + 1);  // + summary row
+}
+
+/// Digest of the bit pattern of every RunningStats field of a result,
+/// metric by metric (the Welford m2 read back as variance()).
+std::uint64_t stats_digest(const scenario::ScenarioResult& result) {
+  std::uint64_t h = 0;
+  const auto fold = [&h](std::uint64_t word) { h = mix64(h ^ word); };
+  for (const RunningStats& s : result.metrics) {
+    fold(s.count());
+    for (const double v : {s.mean(), s.variance(), s.min(), s.max()}) {
+      fold(std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  return h;
+}
+
+TEST(ScenarioCampaign, EveryCellIsPinnedAnalyticAndUnderTraffic) {
+  // Every builtin cell at a reduced spec, through its own trial and
+  // under kv traffic (the campaign's `--workload kv` axis).  Recorded
+  // while the traffic bridge still kept its own copies of the cells'
+  // world builders, so the region churn, bucketing, omission and
+  // burst worlds of both read-outs are held to one value each.
+  struct Pin {
+    const char* cell;
+    std::uint64_t analytic, kv;
+  };
+  const Pin pins[] = {
+      {"target_group/tinygroups", 0x2cd2058846ae17e8ULL, 0x25426c17a1cdc6c0ULL},
+      {"target_group/logn_groups",
+       0xa72f03967494af32ULL, 0x57e702a7e7a6117fULL},
+      {"target_group/cuckoo", 0xe13833f1821e6577ULL, 0x7816459e880b604aULL},
+      {"target_group/commensal_cuckoo",
+       0x1f44328f2ba3301dULL, 0xc7e04baa47fd8680ULL},
+      {"eclipse/tinygroups", 0xd1e63905635d7c97ULL, 0x2991f4e3ae637bc6ULL},
+      {"eclipse/logn_groups", 0x2bfaf412721cb0afULL, 0x8eadaf4b36ae75a7ULL},
+      {"eclipse/cuckoo", 0x71ce4e3f50ff40acULL, 0xa7c0aca8dcfe57f9ULL},
+      {"eclipse/commensal_cuckoo",
+       0x1ac0b6e563d3f588ULL, 0x648ad6cf8f60ac3cULL},
+      {"flood/tinygroups", 0xb5bdad6a8430e835ULL, 0xf738e13908066cf7ULL},
+      {"flood/logn_groups", 0xefdc2f5d20b9d5f3ULL, 0xbfcf18c5b7987207ULL},
+      {"flood/cuckoo", 0x3876c388346ac17bULL, 0xc765566973ddf814ULL},
+      {"flood/commensal_cuckoo", 0x4cc3f1e4cac4cff1ULL, 0xea029776f8da2fc8ULL},
+      {"omit_ids/tinygroups", 0x154b9f6bc8715222ULL, 0x4f29fe25eba8d2ceULL},
+      {"omit_ids/logn_groups", 0x64418145b9479020ULL, 0x35138cb99eccb2a1ULL},
+      {"omit_ids/cuckoo", 0x39d2c02cf323e9c4ULL, 0xba74af310764ff35ULL},
+      {"omit_ids/commensal_cuckoo",
+       0xcdfd4f7d574c0d62ULL, 0x9b674217a5f78a62ULL},
+      {"precompute/tinygroups", 0xba93b8f867b67331ULL, 0x91d590a88535019fULL},
+      {"precompute/logn_groups", 0x21aa91056bd79fc4ULL, 0xae54399949aafaa5ULL},
+      {"precompute/cuckoo", 0x841f65f487712568ULL, 0x78db7e10196ff586ULL},
+      {"precompute/commensal_cuckoo",
+       0x12dd845b76dbd00ULL, 0x8b7c1307689da08dULL},
+      {"late_release/tinygroups", 0x5f106da3bec12384ULL, 0x8ab6d46eb3293ed6ULL},
+      {"late_release/logn_groups",
+       0x5f106da3bec12384ULL, 0x1bd5799c2aba54e4ULL},
+      {"late_release/cuckoo", 0x5f106da3bec12384ULL, 0x6b5a663e8a237ec0ULL},
+      {"late_release/commensal_cuckoo",
+       0x5f106da3bec12384ULL, 0x553a33ad9eced0d2ULL},
+      {"adaptive/tinygroups", 0x5ba86266cf466fc8ULL, 0x96263495348d53e6ULL},
+      {"adaptive/logn_groups", 0x371ff2565da24fccULL, 0x9a0f707d3e9088deULL},
+      {"adaptive/cuckoo", 0x46d18148fd1bc15aULL, 0xb944fc96bc2bc0d8ULL},
+      {"adaptive/commensal_cuckoo",
+       0x92c26cd1d5ceaad8ULL, 0x9a16cd39119af4d4ULL},
+  };
+  for (const Pin& pin : pins) {
+    const auto* cell = Registry::instance().find(pin.cell);
+    ASSERT_NE(cell, nullptr) << pin.cell;
+    ScenarioSpec spec = cell->spec;
+    spec.n = 256;
+    spec.trials = 3;
+    spec.churn = {2, 64};
+    // An empty axis runs the cell's own trial, the adaptive cells'
+    // forced-kv fallback included.
+    spec.workload = {};
+    const std::uint64_t analytic =
+        stats_digest(CampaignRunner::run_cell(*cell, spec));
+    EXPECT_EQ(analytic, pin.analytic)
+        << pin.cell << " analytic: 0x" << std::hex << analytic;
+    spec.workload.service = scenario::WorkloadAxis::Service::kv;
+    const std::uint64_t kv =
+        stats_digest(CampaignRunner::run_cell(*cell, spec));
+    EXPECT_EQ(kv, pin.kv) << pin.cell << " kv: 0x" << std::hex << kv;
+  }
 }
 
 // ---------------------------------------------------------------------------

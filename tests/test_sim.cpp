@@ -136,6 +136,34 @@ TEST(TrialRunner, MultiMetricVariant) {
   EXPECT_DOUBLE_EQ(stats[1].mean(), 2.0 * stats[0].mean());
 }
 
+TEST(TrialRunner, ForEachTrialRunsEveryIndexOnceOnItsShard) {
+  // The fan-out under both trial runners: trial t runs once, on shard
+  // t % shards, with an rng that depends on (seed, t) alone.
+  EXPECT_EQ(trial_shards(10, 0), 8u);
+  EXPECT_EQ(trial_shards(3, 0), 3u);
+  EXPECT_EQ(trial_shards(10, 4), 4u);
+  for (const std::size_t threads : {1u, 3u, 0u}) {
+    constexpr std::size_t kTrials = 10;
+    const std::size_t shards = trial_shards(kTrials, threads);
+    std::vector<std::size_t> shard_of(kTrials, kTrials);
+    std::vector<std::size_t> runs(kTrials, 0);
+    std::vector<std::uint64_t> first_draw(kTrials, 0);
+    for_each_trial(kTrials, /*seed=*/77, threads,
+                   [&](std::size_t shard, std::size_t t, Rng& rng) {
+                     shard_of[t] = shard;
+                     ++runs[t];
+                     first_draw[t] = rng();
+                   });
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      EXPECT_EQ(runs[t], 1u) << threads << " threads, trial " << t;
+      EXPECT_EQ(shard_of[t], t % shards) << threads << " threads, trial " << t;
+      Rng expected(mix64(77 ^ (0x9e3779b97f4a7c15ULL * (t + 1))));
+      EXPECT_EQ(first_draw[t], expected()) << threads << " threads, trial "
+                                           << t;
+    }
+  }
+}
+
 TEST(TrialRunner, EmptyInputsAreSafe) {
   const auto none = run_trials(
       0, 1, [](Rng&, std::size_t) { return 1.0; }, 2);

@@ -392,6 +392,44 @@ TEST(WorkloadEngine, RegionTopologyServesTraffic) {
   EXPECT_GT(cell.recorder.finished(), 0u);
 }
 
+TEST(WorkloadEngine, RegionCellTrafficIsPinned) {
+  // With the adversary on, a region cell serves from the structure its
+  // cuckoo or Commensal Cuckoo join-leave run produced.  Recorded
+  // while the traffic bridge kept its own copy of that churn.
+  using scenario::Topology;
+  struct Row {
+    Topology topology;
+    std::uint64_t trace, issued, completed, failed, timed_out, rounds,
+        analytic, stale;
+  };
+  const Row rows[] = {
+      {Topology::cuckoo, 0xeba89826606670bcULL, 384, 384, 0, 0, 192, 774403,
+       0},
+      {Topology::commensal_cuckoo, 0x1c26ee873d455bf5ULL, 384, 299, 11, 74,
+       192, 622947, 0},
+  };
+  for (const Row& row : rows) {
+    const auto spec = small_traffic_spec(
+        scenario::WorkloadAxis::Service::kv, scenario::WorkloadAxis::Loop::open,
+        scenario::AdversaryKind::target_group, row.topology);
+    const std::string label(scenario::to_string(row.topology));
+    const auto cell = workload::run_traffic_cell(spec, true, 0);
+    const Recorder& r = cell.recorder;
+    EXPECT_EQ(cell.trace_hash, row.trace)
+        << label << " trace 0x" << std::hex << cell.trace_hash;
+    EXPECT_EQ(r.issued, row.issued) << label;
+    EXPECT_EQ(r.completed, row.completed) << label;
+    EXPECT_EQ(r.failed, row.failed) << label;
+    EXPECT_EQ(r.timed_out, row.timed_out) << label;
+    EXPECT_EQ(r.rounds, row.rounds) << label;
+    EXPECT_EQ(r.analytic_messages, row.analytic) << label;
+    EXPECT_EQ(r.retries, 0u) << label;
+    EXPECT_EQ(r.hedges, 0u) << label;
+    EXPECT_EQ(r.stale_replies, row.stale) << label;
+    EXPECT_EQ(r.latency.count(), r.finished()) << label;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Service semantics
 // ---------------------------------------------------------------------------
