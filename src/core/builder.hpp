@@ -18,6 +18,18 @@
 // intuition for why errors then accumulate) is expressed by running
 // the same pipeline with g1 == g2 (single mode), which makes every
 // dual search degenerate to a single search.
+//
+// Execution: every boot index comes from the build's one RNG, so the
+// build speculates a window of leaders at a time.  Pool tasks derive
+// each leader's request keys (membership hashes, link targets), run
+// its dual searches (one pass over each route for both old graphs'
+// red sets and message charges) and assemble the group they predict:
+// sorted members, counters, confusion and messages.  The calling
+// thread keeps only what is sequential: it draws the boots, saves the
+// speculative RNG state at each leader, hands the RNG over, and
+// appends the groups; a misprediction falls back to search-by-search
+// commits from the first mispredicted leader's saved state (see
+// builder.cpp and docs/ARCHITECTURE.md, "Epoch representation").
 #pragma once
 
 #include <memory>
@@ -84,8 +96,9 @@ class EpochBuilder {
 
   /// Run the construction of Section III-A for one epoch: returns the
   /// new generation built from `old` via (dual) searches.  The searches
-  /// run speculatively on ThreadPool::global(); the result, the stats
-  /// and the telemetry are byte-identical at any pool width.
+  /// and group assembly run speculatively on ThreadPool::global(); the
+  /// result, the stats and the telemetry are byte-identical at any pool
+  /// width.
   [[nodiscard]] EpochGraphs build_next(const EpochGraphs& old, Rng& rng,
                                        BuildStats* stats = nullptr) const;
 
@@ -93,7 +106,8 @@ class EpochBuilder {
   [[nodiscard]] const BuilderConfig& config() const noexcept { return config_; }
 
  private:
-  /// Assemble the groups of one new graph (membership + neighbors).
+  /// Assemble the groups of one new graph (membership + neighbors),
+  /// a speculated window of leaders at a time.
   [[nodiscard]] std::shared_ptr<GroupGraph> build_graph(
       const EpochGraphs& old, std::shared_ptr<const Population> new_pop,
       const crypto::RandomOracle& membership_oracle, Rng& rng,

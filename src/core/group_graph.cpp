@@ -109,10 +109,13 @@ GroupGraph GroupGraph::pristine(const Params& params,
   const std::size_t g = params.group_size();
 
   // Blocks of leaders are hashed, resolved and deduplicated on the
-  // pool, a wave at a time, into buffers owned by this thread, which
-  // then appends the wave to the slab in leader order.  The oracle is
-  // a pure function of (w, slot), so neither the block shape nor the
-  // pool width can perturb the result.
+  // pool, a wave at a time, into wave buffers.  The calling thread
+  // then closes the wave's groups in one append_groups, a prefix sum
+  // of their kept counts, and the blocks copy their spans and bad
+  // counts straight into the slab.  The oracle is a pure function of
+  // (w, slot), so neither the block shape nor the pool width can
+  // perturb the result, and the slab holds the groups back to back in
+  // leader order.
   GroupTable table;
   table.reserve(n, n * g);
   const std::size_t wave_cap = std::min(n, kWaveLeaders);
@@ -129,15 +132,17 @@ GroupGraph GroupGraph::pristine(const Params& params,
                     members.data() + first * g, kept.data() + first,
                     bad.data() + first);
     });
-    for (std::size_t j = 0; j < wave; ++j) {
-      const GroupId id =
-          table.begin_group(static_cast<std::uint32_t>(base + j));
-      for (std::size_t k = 0; k < kept[j]; ++k) {
-        table.add_member(members[j * g + k]);
+    const GroupId first_group = table.append_groups(
+        static_cast<std::uint32_t>(base), {kept.data(), wave});
+    ThreadPool::global().parallel_for(blocks, [&](std::size_t b) {
+      const std::size_t end = std::min((b + 1) * kBlockLeaders, wave);
+      for (std::size_t j = b * kBlockLeaders; j < end; ++j) {
+        const GroupId id{first_group.index() + j};
+        std::copy_n(members.data() + j * g, kept[j],
+                    table.mutable_members(id).data());
+        table.set_bad_members(id, bad[j]);
       }
-      table.finish_group();  // already sorted and unique
-      table.set_bad_members(id, bad[j]);
-    }
+    });
   }
   record_pristine_build(n, table.size());
   return GroupGraph(params, pop, pop, std::move(table));

@@ -12,9 +12,11 @@
 // composition-derived classification.
 //
 // Storage: one `GroupTable` per graph (see group_table.hpp) — a
-// single member slab plus packed per-group columns.  Reads go through
-// `GroupView`/`MemberSpan`; churn and self-heal mutate through the
-// member/counter setters below.
+// single member slab plus packed per-group columns.  Both epoch
+// builders (pristine here, EpochBuilder::build_next) close runs of
+// groups with GroupTable::append_groups and fill them from prepared
+// spans.  Reads go through `GroupView`/`MemberSpan`; churn and
+// self-heal mutate through the member/counter setters below.
 #pragma once
 
 #include <memory>
@@ -34,7 +36,7 @@ namespace tg::core {
 
 class GroupGraph {
  public:
-  /// Assemble from a streaming-built table.  `leaders` is this
+  /// Assemble from a built table.  `leaders` is this
   /// graph's population; `member_pool` the population whose IDs fill
   /// the groups (previous epoch's IDs in the dynamic construction;
   /// equal to `leaders` for pristine graphs).
@@ -46,8 +48,10 @@ class GroupGraph {
   /// Trusted initialization (epoch 0; Appendix X): membership drawn
   /// directly through the oracle, neighbor sets correct by fiat, so
   /// red groups arise only from unlucky membership composition.  Blocks
-  /// of leaders are resolved on ThreadPool::global(); the graph is
-  /// byte-identical at any pool width.
+  /// of leaders are resolved on ThreadPool::global() and write their
+  /// spans straight into the slab; the calling thread only closes each
+  /// wave's groups (GroupTable::append_groups).  The graph, its slab
+  /// layout and memory_bytes() are byte-identical at any pool width.
   static GroupGraph pristine(const Params& params,
                              std::shared_ptr<const Population> pop,
                              const crypto::RandomOracle& membership_oracle);
@@ -107,6 +111,11 @@ class GroupGraph {
   [[nodiscard]] bool is_red(std::size_t i) const {
     return synthetic_mode_ ? synthetic_red_.at(i) != 0
                            : composition_red_.at(i) != 0;
+  }
+  /// The same classification as one flag per group (1 = red), read
+  /// without a bounds check: the epoch builder's per-hop scans.
+  [[nodiscard]] std::span<const std::uint8_t> red_flags() const noexcept {
+    return synthetic_mode_ ? synthetic_red_ : composition_red_;
   }
 
   /// S2: overwrite classification with iid coin flips (static model).

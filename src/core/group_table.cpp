@@ -32,32 +32,24 @@ std::size_t GroupTable::memory_bytes() const noexcept {
          confused_.capacity();
 }
 
-GroupId GroupTable::begin_group(std::uint32_t leader) {
-  offset_.push_back(slab_.size());
-  length_.push_back(0);
-  capacity_.push_back(0);
-  leader_.push_back(leader);
-  bad_members_.push_back(0);
-  corrupted_slots_.push_back(0);
-  rejected_slots_.push_back(0);
-  confused_.push_back(0);
-  return GroupId{size() - 1};
-}
-
-void GroupTable::add_member(std::uint32_t member_index) {
-  slab_.push_back(member_index);
-  ++length_.back();
-}
-
-void GroupTable::finish_group() {
-  auto* first = slab_.data() + offset_.back();
-  auto* last = first + length_.back();
-  std::sort(first, last);
-  auto* unique_end = std::unique(first, last);
-  const auto kept = static_cast<std::size_t>(unique_end - first);
-  slab_.resize(offset_.back() + kept);
-  length_.back() = static_cast<std::uint32_t>(kept);
-  capacity_.back() = static_cast<std::uint32_t>(kept);
+GroupId GroupTable::append_groups(std::uint32_t first_leader,
+                                  std::span<const std::uint32_t> lengths) {
+  const std::size_t first = size();
+  const std::size_t count = lengths.size();
+  std::size_t offset = slab_.size();
+  for (std::size_t j = 0; j < count; ++j) {
+    offset_.push_back(offset);
+    length_.push_back(lengths[j]);
+    capacity_.push_back(lengths[j]);
+    leader_.push_back(first_leader + static_cast<std::uint32_t>(j));
+    offset += lengths[j];
+  }
+  bad_members_.resize(first + count);
+  corrupted_slots_.resize(first + count);
+  rejected_slots_.resize(first + count);
+  confused_.resize(first + count);
+  slab_.resize(offset);
+  return GroupId{first};
 }
 
 void GroupTable::truncate_members(GroupId g, std::size_t new_size) noexcept {

@@ -5,7 +5,9 @@
 // bad/corrupted/rejected counters, confused flag), so
 //   * building a graph performs O(1) amortized allocations,
 //   * red/good classification scans run cache-linear over columns,
-//   * per-group membership reads are a span into the slab.
+//   * per-group membership reads are a span into the slab,
+//   * a builder can close a run of groups at once (append_groups) and
+//     let pool tasks write their spans and counters in place.
 // At the ROADMAP's target scale (n = 10^6 leaders, |G| ~ d1 ln ln n
 // members each) this replaces what would otherwise be a million small
 // heap vectors.
@@ -64,8 +66,8 @@ class GroupTable {
  public:
   GroupTable() = default;
 
-  /// Pre-size the columns and slab (streaming builds know n and can
-  /// bound members by n * group_size).
+  /// Pre-size the columns and slab (builds know n and can bound
+  /// members by n * group_size).
   void reserve(std::size_t groups, std::size_t member_capacity);
 
   [[nodiscard]] std::size_t size() const noexcept { return length_.size(); }
@@ -77,18 +79,18 @@ class GroupTable {
   /// Approximate heap footprint of the table, for capacity planning.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-  // ---- Streaming construction ------------------------------------------
-  // begin_group / add_member / finish_group append one group at a time
-  // directly into the slab; finish_group sorts and deduplicates the
-  // open span in place (a physical ID holds one membership per group),
-  // so no per-group scratch vector ever materializes.
+  // ---- Construction -----------------------------------------------------
+  // Both epoch builders close a run of groups at once, then fill them.
 
-  /// Open a new group led by `leader`; returns its id.
-  GroupId begin_group(std::uint32_t leader);
-  /// Append a member-pool index to the OPEN group.
-  void add_member(std::uint32_t member_index);
-  /// Sort + dedupe the open span in place and close the group.
-  void finish_group();
+  /// Close lengths.size() groups led by first_leader, first_leader + 1,
+  /// ..., their spans laid back to back at the slab tail, each with
+  /// capacity == length.  Members and counters start zeroed; fill them
+  /// through mutable_members and the setters, from any thread as long
+  /// as each group has one writer.  The builders write each span
+  /// sorted and deduplicated (a physical ID holds one membership per
+  /// group).  Returns the first new id.
+  GroupId append_groups(std::uint32_t first_leader,
+                        std::span<const std::uint32_t> lengths);
 
   // ---- Reads ------------------------------------------------------------
 
@@ -139,12 +141,12 @@ class GroupTable {
   /// compact()).
   void assign_members(GroupId g, const std::uint32_t* data, std::size_t count);
 
-  /// Slide every live span left over the dead gaps assign_members and
-  /// finish_group's dedup leave behind, restoring slab_size() ==
-  /// member_count().  Span CONTENTS are untouched (views read
-  /// byte-identically before and after); span ADDRESSES move, so any
-  /// outstanding MemberSpan / mutable span is invalidated.  Returns
-  /// the number of slab bytes reclaimed.
+  /// Slide every live span left over the dead gaps and slack that
+  /// assign_members relocations and truncate_members leave behind,
+  /// restoring slab_size() == member_count().  Span CONTENTS are
+  /// untouched (views read byte-identically before and after); span
+  /// ADDRESSES move, so any outstanding MemberSpan / mutable span is
+  /// invalidated.  Returns the number of slab bytes reclaimed.
   std::size_t compact();
 
   // ---- Cache-linear column scans ----------------------------------------

@@ -2,6 +2,14 @@
 // with O(log n) degree (footnote 11 describes exactly this linking
 // rule: successor/predecessor plus successors of w + Delta(i) for
 // exponentially growing Delta).
+//
+// Routing is greedy closest-preceding-finger over each node's
+// pre-resolved finger row.  Fingers halve their offset along the row,
+// so a hop need not scan it: the first finger that can fit the
+// remaining distance sits at row index countl_zero(distance), and the
+// first one from there that advances without passing the key is the
+// one a full scan would keep (InputGraph::greedy_finger_walk, shared
+// with Chord++).  A hop reads one or two finger points, not log n.
 #pragma once
 
 #include "overlay/input_graph.hpp"
@@ -23,7 +31,7 @@ class ChordOverlay final : public InputGraph {
 
  protected:
   /// Greedy closest-preceding-finger routing over the node's
-  /// pre-resolved finger row; O(log N) hops w.h.p.
+  /// pre-resolved finger row (greedy_finger_walk); O(log N) hops w.h.p.
   void route_indexed(Route& out, std::size_t start,
                      RingPoint key) const override;
 

@@ -39,32 +39,7 @@ void ChordPPOverlay::fill_index_row(std::size_t i, std::uint32_t* row) const {
 
 void ChordPPOverlay::route_indexed(Route& r, std::size_t start,
                                    RingPoint key) const {
-  const std::size_t target = table_->successor_index(key);
-  const std::vector<RingPoint>& pts = table_->points();
-  std::size_t cur = start;
-  r.path.push_back(cur);
-  const std::size_t cap = hop_cap();
-  while (cur != target) {
-    if (r.path.size() > cap) return;
-    const RingPoint cur_pt = pts[cur];
-    const std::uint64_t dist_to_key = cur_pt.cw_distance_to(key);
-    // Greedy closest-preceding finger, exactly as Chord, but over the
-    // CURRENT node's perturbed fingers, pre-resolved in its row.
-    const std::uint32_t* fingers = finger_row(cur);
-    std::size_t best = fingers[finger_bits_];
-    std::uint64_t best_advance = 0;
-    for (int i = 0; i < finger_bits_; ++i) {
-      const std::size_t nb = fingers[i];
-      const std::uint64_t advance = cur_pt.cw_distance_to(pts[nb]);
-      if (advance > best_advance && advance <= dist_to_key) {
-        best_advance = advance;
-        best = nb;
-      }
-    }
-    cur = best;
-    r.path.push_back(cur);
-  }
-  r.ok = true;
+  greedy_finger_walk(r, start, key);
 }
 
 }  // namespace tg::overlay

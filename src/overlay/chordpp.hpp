@@ -10,7 +10,13 @@
 // [2^-i, 2^-i+1).  Coverage of distance scales is preserved (routing
 // still halves the remaining distance per hop, D = O(log N)) while the
 // targets of different nodes decorrelate, flattening the P4 congestion
-// profile — the property [6] is cited for in Section I-C.
+// profile — the property [6] is cited for in Section I-C.  Because
+// each perturbed offset stays inside its dyadic interval, offsets
+// still strictly decrease along a row, so Chord's O(1)-probe greedy
+// loop (InputGraph::greedy_finger_walk) routes Chord++ unchanged.  A
+// perturbed finger can overshoot a key at its own scale, or wrap to
+// the node itself on a clustered table; the loop then moves on to the
+// next finger.
 #pragma once
 
 #include "overlay/input_graph.hpp"
@@ -37,7 +43,7 @@ class ChordPPOverlay final : public InputGraph {
                      RingPoint key) const override;
 
   /// Row layout: [perturbed finger 1 .. finger_bits_, successor] —
-  /// same shape as Chord, different targets.
+  /// same shape as Chord, different targets, the same route loop.
   [[nodiscard]] std::size_t index_row_width() const noexcept override {
     return static_cast<std::size_t>(finger_bits_) + 1;
   }

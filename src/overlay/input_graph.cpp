@@ -1,6 +1,7 @@
 #include "overlay/input_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "telemetry/telemetry.hpp"
@@ -119,6 +120,34 @@ void InputGraph::ring_walk(Route& out, std::size_t cur,
     } else {
       cur = (cur + m - 1) % m;
     }
+    out.path.push_back(cur);
+  }
+  out.ok = true;
+}
+
+void InputGraph::greedy_finger_walk(Route& out, std::size_t start,
+                                    RingPoint key) const {
+  const std::size_t target = table_->successor_index(key);
+  const std::vector<RingPoint>& pts = table_->points();
+  const std::size_t fingers = row_width_ - 1;
+  const std::size_t cap = hop_cap();
+  std::size_t cur = start;
+  out.path.push_back(cur);
+  while (cur != target) {
+    if (out.path.size() > cap) return;  // ok stays false
+    const RingPoint cur_pt = pts[cur];
+    const std::uint64_t dist_to_key = cur_pt.cw_distance_to(key);
+    const std::uint32_t* row = finger_row(cur);
+    std::size_t next = row[fingers];  // the immediate successor
+    for (auto i = static_cast<std::size_t>(std::countl_zero(dist_to_key));
+         i < fingers; ++i) {
+      const std::uint64_t advance = cur_pt.cw_distance_to(pts[row[i]]);
+      if (advance > 0 && advance <= dist_to_key) {
+        next = row[i];
+        break;
+      }
+    }
+    cur = next;
     out.path.push_back(cur);
   }
   out.ok = true;

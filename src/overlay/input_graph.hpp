@@ -250,6 +250,21 @@ class InputGraph {
   /// this.  Sets out.ok on arrival; leaves it false past the cap.
   void ring_walk(Route& out, std::size_t cur, std::size_t target) const;
 
+  /// Chord's and Chord++'s one route loop: greedy closest-preceding
+  /// finger from `start` to suc(key), appending each hop to out.path.
+  /// Their rows list the fingers by strictly decreasing offset, the
+  /// i-th (from 0) inside [2^(63-i), 2^(64-i)) of the ring, then the
+  /// immediate successor.  So a finger's resolved advance is 0 (it
+  /// wrapped to the node itself) or at least its offset, and along a
+  /// row the advances run zeros, then non-increasing positive values.
+  /// Each hop therefore starts at finger countl_zero(distance to key),
+  /// as every earlier finger overshoots, and takes the first finger
+  /// with 0 < advance <= distance: exactly the largest qualifying
+  /// advance a scan of the whole row keeps, in one or two probes.
+  /// With none, the immediate successor takes the hop.  Sets out.ok
+  /// on arrival; leaves it false past the cap.
+  void greedy_finger_walk(Route& out, std::size_t start, RingPoint key) const;
+
   /// Shared hop cap: any correct route is far shorter; exceeding it
   /// marks the route failed instead of looping.
   [[nodiscard]] std::size_t hop_cap() const noexcept {

@@ -412,6 +412,92 @@ TEST(OverlayProperties, RouteManyEqualsRouteOneByOne) {
       });
 }
 
+/// Chord's closest-preceding-finger route, scanning every finger of
+/// every hop.  Built from the public linking rule alone: link_targets
+/// lists the fingers, then the immediate successor, then the
+/// predecessor proxy.  Each hop keeps the finger with the largest
+/// clockwise advance in (0, distance to key], the earliest on a tie,
+/// and falls back to the immediate successor when none qualifies.
+overlay::Route full_scan_route(const overlay::InputGraph& graph,
+                               std::size_t start, ids::RingPoint key) {
+  const ids::RingTable& table = graph.table();
+  const std::size_t target = table.successor_index(key);
+  overlay::Route r;
+  std::size_t cur = start;
+  r.path.push_back(static_cast<std::uint32_t>(cur));
+  while (cur != target) {
+    if (r.path.size() > 8 * 64 + table.size()) return r;  // the hop cap
+    const ids::RingPoint x = table.at(cur);
+    const std::uint64_t dist = x.cw_distance_to(key);
+    const std::vector<ids::RingPoint> targets = graph.link_targets(x);
+    const std::size_t fingers = targets.size() - 2;
+    std::size_t best = table.successor_index(targets[fingers]);
+    std::uint64_t best_advance = 0;
+    for (std::size_t i = 0; i < fingers; ++i) {
+      const std::size_t nb = table.successor_index(targets[i]);
+      const std::uint64_t advance = x.cw_distance_to(table.at(nb));
+      if (advance > best_advance && advance <= dist) {
+        best_advance = advance;
+        best = nb;
+      }
+    }
+    cur = best;
+    r.path.push_back(static_cast<std::uint32_t>(cur));
+  }
+  r.ok = true;
+  return r;
+}
+
+TEST(OverlayProperties, GreedyFingerHopMatchesFullScan) {
+  // Chord and Chord++ start each hop's scan at the finger that first
+  // fits the remaining distance and stop at the first one that
+  // advances without passing the key.  Routes must equal the full
+  // scan hop for hop: on uniform tables, and on clustered ones whose
+  // IDs sit in a 2^40 arc (one of them across 0), where the large
+  // fingers wrap to the node itself and advance by 0.
+  struct Shape {
+    std::size_t n;
+    bool clustered;
+  };
+  const Shape shapes[] = {{1, false},    {2, false},    {3, false},
+                          {64, false},   {1000, false}, {10000, false},
+                          {2, true},     {3, true},     {64, true},
+                          {1000, true}};
+  expect_property<std::uint64_t>(
+      "overlay.greedy-finger-hop-matches-full-scan", proptest::u64(),
+      [&](std::uint64_t seed) {
+        Rng rng(seed);
+        for (const Shape& shape : shapes) {
+          std::vector<ids::RingPoint> points;
+          const std::uint64_t base =
+              shape.clustered && shape.n == 64 ? ~0ULL - (1ULL << 39)
+                                               : rng.u64();
+          for (std::size_t i = 0; i < shape.n; ++i) {
+            points.emplace_back(shape.clustered ? base + rng.below(1ULL << 40)
+                                                : rng.u64());
+          }
+          const ids::RingTable table(std::move(points));
+          const std::size_t n = table.size();
+          for (const overlay::Kind kind :
+               {overlay::Kind::chord, overlay::Kind::chordpp}) {
+            const auto graph = overlay::make_overlay(kind, table);
+            for (int q = 0; q < 120; ++q) {
+              const std::size_t start = q % 8 == 0 ? 0 : rng.below(n);
+              const std::uint64_t on_id = table.at(rng.below(n)).raw();
+              const std::uint64_t keys[] = {0,         ~0ULL,     on_id,
+                                            on_id - 1, on_id + 1, rng.u64()};
+              const ids::RingPoint key{keys[q % std::size(keys)]};
+              const overlay::Route got = graph->route(start, key);
+              const overlay::Route want = full_scan_route(*graph, start, key);
+              if (got.ok != want.ok || !(got.path == want.path)) return false;
+            }
+          }
+        }
+        return true;
+      },
+      iters(4), [](std::uint64_t seed) { return "seed " + show_u64s({seed}); });
+}
+
 // ---------- Group-graph construction, across beta ----------
 
 Gen<double> beta_notch() {

@@ -10,6 +10,8 @@
 // sequential epoch builder, before the speculative one replaced it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -268,6 +270,77 @@ TEST(Epoch, BuildTelemetryIsPinned) {
   }
 }
 
+TEST(Epoch, PristineSlabLayoutIsPinned) {
+  // What the fingerprints leave out: where the slab puts each group.
+  // Per n, the digest covers memory_bytes(), the member count and
+  // every group's span start as an offset from group 0's.  The sizes
+  // straddle the 64-leader block and the 8192-leader wave edges.
+  const std::pair<std::size_t, std::uint64_t> pins[] = {
+      {1, 0x78372750d1c9e5a5ULL},     {63, 0xfa052dee50839c73ULL},
+      {64, 0xbc2b163e8f612b8aULL},    {65, 0xb0fcc7c530f6f7cfULL},
+      {8192, 0x50ba0c352b9ccc6bULL},  {8193, 0xb6f0a78aba4d2899ULL},
+      {20000, 0xbb18284dd8d03390ULL},
+  };
+  for (const auto& [n, pin] : pins) {
+    const GroupGraph graph = build_pristine(n, 5);
+    const std::uint32_t* const base = graph.members(0).data();
+    Fnv f;
+    f.mix(graph.memory_bytes());
+    std::uint64_t members = 0;
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+      f.mix(static_cast<std::uint64_t>(graph.members(i).data() - base));
+      members += graph.group_size(i);
+    }
+    f.mix(members);
+    EXPECT_EQ(f.h, pin) << "n=" << n;
+  }
+}
+
+TEST(Epoch, MispredictedWindowsArePinned) {
+  // Builds whose speculated windows come out other than predicted:
+  // a failure-heavy beta (dual and single-graph); beta = 0.1, whose
+  // windows mispredict on their first leader (5 windows), a middle one
+  // (76) and their last (3); and small populations at beta = 0.2,
+  // whose windows mispredict on their first or last leader, or stay
+  // under the 16-leader fan-out (all of n = 15).  Per case, two
+  // build_next calls, each folding build_digest and the digest of its
+  // stable metrics export.
+  struct Case {
+    const char* name;
+    double beta;
+    std::size_t n;
+    BuildMode mode;
+    std::uint64_t pin;
+  };
+  const Case cases[] = {
+      {"beta0.35_dual", 0.35, 2000, BuildMode::dual_graph,
+       0xf6318517b00adef0ULL},
+      {"beta0.35_single", 0.35, 2000, BuildMode::single_graph,
+       0x9d1eec2d799200caULL},
+      {"beta0.1", 0.1, 2000, BuildMode::dual_graph, 0x2926f2b43f2f8624ULL},
+      {"n15", 0.2, 15, BuildMode::dual_graph, 0xb1afd5087272fbdbULL},
+      {"n16", 0.2, 16, BuildMode::dual_graph, 0x297dc9d1e23f55beULL},
+      {"n17", 0.2, 17, BuildMode::dual_graph, 0x62eceb26d7ce1ed4ULL},
+      {"n257", 0.2, 257, BuildMode::dual_graph, 0x1fcb0e721322e5c5ULL},
+  };
+  for (const Case& c : cases) {
+    Params params = pin_params(c.beta);
+    params.n = c.n;
+    const EpochBuilder builder(params, {.mode = c.mode});
+    Rng rng(99);
+    EpochGraphs epoch = builder.initial(rng);
+    Fnv f;
+    for (int step = 0; step < 2; ++step) {
+      EpochGraphs next;
+      BuildStats stats;
+      f.mix(text_digest(build_metrics(builder, epoch, rng, &next, &stats)));
+      f.mix(build_digest(next, stats));
+      epoch = std::move(next);
+    }
+    EXPECT_EQ(f.h, c.pin) << c.name;
+  }
+}
+
 TEST(Epoch, PoolAndInlineBuildsAgree) {
   // ThreadPool::global() is as wide as the machine, but a fan-out
   // nested in a pool task runs inline: the same calls made inside
@@ -311,29 +384,54 @@ TEST(Epoch, PoolAndInlineBuildsAgree) {
 
 // ---------- GroupTable representation properties ----------
 
-/// Stream `groups` into a table (members must be sorted and unique:
-/// finish_group sorts and dedupes).
+/// Lay `groups` (leaders 0, 1, ...) into a table the way the builders
+/// do: close them in one append_groups run, then fill each span.
 GroupTable table_of(const std::vector<Group>& groups) {
-  GroupTable table;
+  std::vector<std::uint32_t> lengths;
   for (const Group& g : groups) {
-    const GroupId id = table.begin_group(static_cast<std::uint32_t>(g.leader));
-    for (const auto m : g.members) table.add_member(m);
-    table.finish_group();
-    table.set_bad_members(id, static_cast<std::uint32_t>(g.bad_members));
-    table.set_confused(id, g.confused);
+    lengths.push_back(static_cast<std::uint32_t>(g.members.size()));
+  }
+  GroupTable table;
+  const GroupId first = table.append_groups(0, lengths);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const GroupId id{first.index() + i};
+    std::copy(groups[i].members.begin(), groups[i].members.end(),
+              table.mutable_members(id).begin());
+    table.set_bad_members(id,
+                          static_cast<std::uint32_t>(groups[i].bad_members));
+    table.set_confused(id, groups[i].confused);
   }
   return table;
 }
 
-TEST(GroupTableStorage, FinishGroupSortsAndDedupes) {
+TEST(GroupTableStorage, AppendGroupsLaysSpansBackToBack) {
+  // Each run closes at the slab tail: spans back to back in leader
+  // order (empty ones included), counters zeroed until set.
   GroupTable table;
-  const GroupId id = table.begin_group(4);
-  for (const std::uint32_t m : {9u, 1u, 5u, 1u, 9u}) table.add_member(m);
-  table.finish_group();
-  const std::vector<std::uint32_t> expected{1, 5, 9};
-  EXPECT_EQ(table.members(id), MemberSpan(expected));
-  EXPECT_EQ(table.view(id).leader, 4u);
-  EXPECT_EQ(table.slab_size(), expected.size());
+  const std::vector<std::uint32_t> run1{2, 0, 3};
+  const std::vector<std::uint32_t> run2{1};
+  EXPECT_EQ(table.append_groups(4, run1).index(), 0u);
+  EXPECT_EQ(table.append_groups(7, run2).index(), 3u);
+  ASSERT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.slab_size(), 6u);
+  const std::uint32_t* const base = table.members(GroupId{0u}).data();
+  const std::size_t starts[] = {0, 2, 2, 5};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const GroupView v = table.view(GroupId{i});
+    EXPECT_EQ(v.leader, i < 3 ? 4 + i : 7u) << i;
+    EXPECT_EQ(v.members.data() - base, static_cast<std::ptrdiff_t>(starts[i]))
+        << i;
+    EXPECT_EQ(v.members.size(), i < 3 ? run1[i] : run2[0]) << i;
+    EXPECT_EQ(v.bad_members, 0u) << i;
+    EXPECT_FALSE(v.confused) << i;
+  }
+  const std::vector<std::uint32_t> third{1, 5, 9};
+  std::copy(third.begin(), third.end(),
+            table.mutable_members(GroupId{2u}).begin());
+  table.set_bad_members(GroupId{2u}, 1);
+  EXPECT_EQ(table.members(GroupId{2u}), MemberSpan(third));
+  EXPECT_EQ(table.view(GroupId{2u}).bad_members, 1u);
+  EXPECT_EQ(table.member_count(), 6u);
 }
 
 TEST(GroupTableStorage, AssignMembersRelocatesWithoutCorruptingNeighbors) {
