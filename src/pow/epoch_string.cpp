@@ -6,14 +6,14 @@
 namespace tg::pow {
 
 std::size_t bin_of(double output, std::size_t max_bin) noexcept {
-  if (output <= 0.0) return max_bin;
   // output in [2^-j, 2^-(j-1))  <=>  j = ceil(-log2(output)), with the
-  // boundary 2^-j itself belonging to bin j.
-  const double l = -std::log2(output);
-  auto j = static_cast<std::size_t>(std::ceil(l));
-  if (j < 1) j = 1;
-  if (j > max_bin) j = max_bin;
-  return j;
+  // boundary 2^-j itself belonging to bin j.  The clamp happens before
+  // the cast, in floating point: zero, negative outputs and NaN give
+  // +inf or NaN and land in max_bin; outputs >= 1 and +inf land in 1.
+  const double j = std::ceil(-std::log2(output));
+  if (!(j < static_cast<double>(max_bin))) return max_bin;
+  if (j < 1.0) return std::min<std::size_t>(1, max_bin);
+  return static_cast<std::size_t>(j);
 }
 
 BinTable::BinTable(std::size_t bins, std::size_t counter_cap)
@@ -39,13 +39,22 @@ bool BinTable::accept_fresh(const LotteryString& s, std::size_t bin) {
   //
   // A full bin stays full and its back() never grows, so a string this
   // rule rejects or evicts is rejected again on any later offer.
+  //
+  // A bin's first insert reserves all counter_cap slots, so a bin never
+  // regrows: its storage is allocated once, by whichever thread first
+  // fills it, and freed with the table.
   auto& retained = best_[bin];
   const auto by_output = [](const LotteryString& a, const LotteryString& b) {
     return a.output < b.output;
   };
   if (retained.size() >= counter_cap_) {
-    if (!(s.output < retained.back().output)) return false;
+    // A zero cap retains nothing.
+    if (counter_cap_ == 0 || !(s.output < retained.back().output)) {
+      return false;
+    }
     retained.pop_back();  // evict the largest retained
+  } else if (retained.empty()) {
+    retained.reserve(counter_cap_);
   }
   retained.insert(
       std::upper_bound(retained.begin(), retained.end(), s, by_output), s);

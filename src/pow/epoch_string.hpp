@@ -13,7 +13,10 @@
 // output, a uid offered to a table once is rejected on every later
 // offer, so an engine that remembers which uids a node was offered
 // may skip straight to `accept_fresh` for first sightings (see
-// docs/ARCHITECTURE.md, "String protocol engine").
+// docs/ARCHITECTURE.md, "String protocol engine").  A bin reserves its
+// counter_cap slots on its first insert and never regrows, so a table
+// allocates once per non-empty bin, on whichever thread fills it
+// first.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +38,8 @@ struct LotteryString {
 };
 
 /// Bin index for an output: j such that output in [2^-j, 2^-(j-1));
-/// clamped to [1, max_bin].
+/// clamped to [1, max_bin] (0 when max_bin is 0).  Outputs >= 1 and
+/// +inf give bin 1; zero, negative outputs and NaN give max_bin.
 [[nodiscard]] std::size_t bin_of(double output, std::size_t max_bin) noexcept;
 
 /// Per-node bins/counters state implementing the forwarding filter.

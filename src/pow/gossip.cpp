@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+
+#include "util/thread_pool.hpp"
 
 namespace tg::pow {
 
@@ -13,6 +17,10 @@ std::vector<std::vector<std::uint32_t>> make_gossip_topology(
   if (nodes < 2) return adj;
   // A node has at most nodes-1 distinct neighbours.
   degree = std::min(degree, nodes - 1);
+  // A row also collects the links other nodes draw to it; twice the
+  // degree lets nearly every row fill without regrowing (at n = 4096
+  // and degree 27, rows end at 33.5 entries on average, 52 at most).
+  for (auto& row : adj) row.reserve(2 * degree);
   // Links are symmetric, so membership on one side decides both.
   const auto link = [&adj](std::uint32_t a, std::uint32_t b) {
     if (std::find(adj[a].begin(), adj[a].end(), b) != adj[a].end()) return;
@@ -44,12 +52,37 @@ struct Release {
   std::uint32_t uid = 0;
 };
 
+/// Destinations per flood block: one pool task fills a block's
+/// outboxes, draining its destinations in node order.  At n = 4096,
+/// 16-node blocks ran about 9% faster than 64-node ones (see
+/// docs/ARCHITECTURE.md, "String protocol engine").
+constexpr std::size_t kBlock = 16;
+
+/// One step's outboxes: one uid buffer per block, and per node the end
+/// of its uids in its block's buffer.  Node d's uids start where node
+/// d - 1's end, or at 0 for a block's first node.
+struct Outboxes {
+  std::vector<std::vector<std::uint32_t>> box;
+  std::vector<std::size_t> end;
+
+  [[nodiscard]] std::span<const std::uint32_t> of(std::size_t d) const {
+    const std::size_t begin = d % kBlock == 0 ? 0 : end[d - 1];
+    return {box[d / kBlock].data() + begin, end[d] - begin};
+  }
+};
+
 }  // namespace
 
 GossipOutcome run_string_protocol(
     const std::vector<std::vector<std::uint32_t>>& adjacency,
     const GossipParams& params, const std::vector<LateRelease>& attacks,
     Rng& rng) {
+  for (const LateRelease& atk : attacks) {
+    // Negated so that NaN fails too.
+    if (!(atk.output >= 0.0 && atk.output < 1.0)) {
+      throw std::invalid_argument("late release output outside [0, 1)");
+    }
+  }
   GossipOutcome out;
   const std::size_t n = adjacency.size();
   if (n == 0) return out;
@@ -110,11 +143,10 @@ GossipOutcome run_string_protocol(
     }
   }
   // Consumed in (step, node) order; attack-list order within each.
-  std::stable_sort(releases.begin(), releases.end(),
-                   [](const Release& a, const Release& b) {
-                     return a.step != b.step ? a.step < b.step
-                                             : a.node < b.node;
-                   });
+  const auto before = [](const Release& a, const Release& b) {
+    return a.step != b.step ? a.step < b.step : a.node < b.node;
+  };
+  std::stable_sort(releases.begin(), releases.end(), before);
   std::vector<std::size_t> bin(strings.size());
   for (std::size_t u = 0; u < strings.size(); ++u) {
     bin[u] = bin_of(strings[u].output, bins);
@@ -125,62 +157,71 @@ GossipOutcome run_string_protocol(
   // first sightings reach the retention rule.
   const std::size_t words = (strings.size() + 63) / 64;
   std::vector<std::uint64_t> seen(n * words, 0);
-  std::vector<BinTable> tables(n, BinTable(bins, counter_cap));
-  const auto offer = [&strings, &bin](std::uint64_t* row, BinTable& table,
-                                      std::uint32_t u) {
-    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
-    if ((row[u >> 6] & bit) != 0) return false;
-    row[u >> 6] |= bit;
-    return table.accept_fresh(strings[u], bin[u]);
-  };
-
-  // Outboxes: one flat uid buffer per step, node i's strings at
-  // [off[i], off[i+1]).  A node's releases for a step go after the
-  // strings it accepted in the step before.
-  std::vector<std::uint32_t> outbox, next_outbox;
-  std::vector<std::size_t> off(n + 1, 0), next_off(n + 1, 0);
-  std::size_t next_release = 0;
-  const auto release = [&](std::size_t step, std::uint32_t node,
-                           std::vector<std::uint32_t>& box) {
-    for (; next_release < releases.size() &&
-           releases[next_release].step == step &&
-           releases[next_release].node == node;
-         ++next_release) {
-      const std::uint32_t u = releases[next_release].uid;
-      if (offer(&seen[node * words], tables[node], u)) box.push_back(u);
-    }
-  };
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (offer(&seen[i * words], tables[i], i)) outbox.push_back(i);
-    release(0, i, outbox);
-    off[i + 1] = outbox.size();
-  }
+  // A table is offered each uid at most once, so a bin never holds more
+  // than every string: a larger cap never fills and would only enlarge
+  // what each bin reserves.
+  std::vector<BinTable> tables(
+      n, BinTable(bins, std::min(counter_cap, strings.size())));
+  std::vector<LotteryString> selected(n);  // s^{i*}: chosen at end of Phase 2
 
   // ---- Phases 2+3: synchronous flooding with bin/counter filtering.
-  std::vector<LotteryString> selected(n);  // s^{i*}: chosen at end of Phase 2
-  for (std::size_t step = 0; step < total_steps; ++step) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out.forward_events += adjacency[i].size() * (off[i + 1] - off[i]);
-    }
-    next_outbox.clear();
-    for (std::uint32_t d = 0; d < n; ++d) {
+  // Pass s fills the outboxes nodes send in step s: a node's own
+  // minimum (s = 0) or what it accepted from step s - 1's outboxes,
+  // then its releases for step s.  Pass total_steps sends nothing; it
+  // completes the last step's accepts.  A destination writes only its
+  // own seen row, table, selection and outbox and reads only the
+  // previous pass's outboxes, so the blocks of a pass run on the pool
+  // in any order with the same result.
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  Outboxes sent{std::vector<std::vector<std::uint32_t>>(blocks),
+                std::vector<std::size_t>(n, 0)};
+  Outboxes filled = sent;
+  std::size_t pass = 0;
+  const std::function<void(std::size_t)> fill_block = [&](std::size_t b) {
+    const std::size_t first = b * kBlock;
+    const std::size_t last = std::min(n, first + kBlock);
+    std::vector<std::uint32_t>& box = filled.box[b];
+    box.clear();
+    auto rel = std::lower_bound(
+        releases.begin(), releases.end(),
+        Release{pass, static_cast<std::uint32_t>(first)}, before);
+    for (std::size_t d = first; d < last; ++d) {
       std::uint64_t* const row = &seen[d * words];
       BinTable& table = tables[d];
-      for (std::size_t k = in_off[d]; k < in_off[d + 1]; ++k) {
-        const std::uint32_t src = in_src[k];
-        for (std::size_t p = off[src]; p < off[src + 1]; ++p) {
-          if (offer(row, table, outbox[p])) next_outbox.push_back(outbox[p]);
+      const auto offer = [&](std::uint32_t u) {
+        const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+        if ((row[u >> 6] & bit) != 0) return;
+        row[u >> 6] |= bit;
+        if (table.accept_fresh(strings[u], bin[u])) box.push_back(u);
+      };
+      if (pass == 0) {
+        offer(static_cast<std::uint32_t>(d));
+      } else {
+        for (std::size_t k = in_off[d]; k < in_off[d + 1]; ++k) {
+          for (const std::uint32_t u : sent.of(in_src[k])) offer(u);
         }
       }
-      if (step + 1 == phase2) {
-        // End of Phase 2: the node selects its current minimum.
+      // End of Phase 2: the node selects its current minimum (a run
+      // without Phase 2 selects nothing).
+      if (pass != 0 && pass == phase2) {
         selected[d] = table.minimum().value_or(strings[d]);
       }
-      release(step + 1, d, next_outbox);
-      next_off[d + 1] = next_outbox.size();
+      for (; rel != releases.end() && rel->step == pass && rel->node == d;
+           ++rel) {
+        offer(rel->uid);
+      }
+      filled.end[d] = box.size();
     }
-    std::swap(outbox, next_outbox);
-    std::swap(off, next_off);
+  };
+  for (; pass <= total_steps; ++pass) {
+    if (pass != 0) {
+      // Step pass - 1 sends what the previous pass filled.
+      for (std::size_t i = 0; i < n; ++i) {
+        out.forward_events += adjacency[i].size() * sent.of(i).size();
+      }
+    }
+    ThreadPool::global().parallel_for(blocks, fill_block);
+    std::swap(sent, filled);
   }
   out.steps_run = total_steps;
 

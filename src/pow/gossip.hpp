@@ -17,8 +17,14 @@
 // ascending and once per edge, which is the order a push flood over
 // `adjacency` offers them.  A per-node first-sight bitset over string
 // uids (n * (n + |attacks|) bits) rejects a repeat offer with one bit
-// test; only first sightings reach BinTable::accept_fresh.  Outboxes
-// are one flat uid buffer per step with n + 1 offsets.
+// test; only first sightings reach BinTable::accept_fresh.  A step's
+// destinations drain in blocks of 16 consecutive nodes on
+// ThreadPool::global().  A destination writes only its own state and
+// reads only the previous step's outboxes, so the outcome and the rng
+// state after the call are the same at any pool width; called from
+// inside pool work, the flood runs inline.  Each block writes its
+// nodes' outboxes into one uid buffer per step, which the next step
+// reads in place.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +73,8 @@ struct GossipOutcome {
 
 /// Run the protocol on an explicit adjacency (the giant component).
 /// Rows may be asymmetric and hold duplicates or self-loops; an entry
-/// >= adjacency.size() throws std::out_of_range.
+/// >= adjacency.size() throws std::out_of_range.  A release whose
+/// output is NaN or outside [0, 1) throws std::invalid_argument.
 [[nodiscard]] GossipOutcome run_string_protocol(
     const std::vector<std::vector<std::uint32_t>>& adjacency,
     const GossipParams& params, const std::vector<LateRelease>& attacks,

@@ -3,7 +3,10 @@
 // and ID credential verification.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "pow/puzzle.hpp"
 #include "pow/verification.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tg::pow {
 namespace {
@@ -219,6 +223,21 @@ TEST(Bins, BinOfBoundaries) {
   EXPECT_EQ(bin_of(0.0, 40), 40u);
 }
 
+TEST(Bins, BinOfClampsEveryDouble) {
+  // Outputs >= 1 go to bin 1; zero, negatives and NaN to the deepest.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double top : {1.0, 4.0, 1e300, inf}) {
+    EXPECT_EQ(bin_of(top, 45), 1u) << top;
+  }
+  for (const double deepest :
+       {std::numeric_limits<double>::denorm_min(), -1.0, -inf, nan}) {
+    EXPECT_EQ(bin_of(deepest, 45), 45u) << deepest;
+  }
+  EXPECT_EQ(bin_of(4.0, 0), 0u);  // a table without bins
+  EXPECT_EQ(bin_of(0.3, 0), 0u);
+}
+
 TEST(BinTable, RetainsBoundedMinSetPerBin) {
   BinTable table(10, 2);
   EXPECT_TRUE(table.accept({0.6, 0, 1}));
@@ -263,6 +282,24 @@ TEST(BinTable, SolutionSetCollectsSmallestFirst) {
 TEST(BinTable, MinimumEmptyIsNull) {
   BinTable table(5, 5);
   EXPECT_FALSE(table.minimum().has_value());
+}
+
+TEST(BinTable, OutputAboveOneIsNeverTheMinimum) {
+  BinTable table(45, 2);
+  EXPECT_TRUE(table.accept({1e-4, 0, 1}));
+  EXPECT_TRUE(table.accept({4.0, 0, 2}));  // bin 1, not the deepest bin
+  EXPECT_EQ(table.minimum().value().uid, 1u);
+  const auto rset = table.solution_set(1);
+  ASSERT_EQ(rset.size(), 1u);
+  EXPECT_EQ(rset[0].uid, 1u);
+}
+
+TEST(BinTable, ZeroCapRetainsNothing) {
+  BinTable table(10, 0);
+  EXPECT_FALSE(table.accept({0.3, 0, 1}));
+  EXPECT_FALSE(table.accept({1e-9, 0, 2}));
+  EXPECT_FALSE(table.minimum().has_value());
+  EXPECT_TRUE(table.solution_set(4).empty());
 }
 
 // --- Gossip protocol (Lemma 12) ---
@@ -343,6 +380,26 @@ TEST(Gossip, AdjacencyNamingNoNodeThrows) {
                std::out_of_range);
 }
 
+TEST(Gossip, ReleaseOutputOutsideUnitIntervalThrows) {
+  // LotteryString outputs lie in [0, 1); every release is checked,
+  // including one whose step lies past the run.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<std::uint32_t>> adj = {{1}, {0}};
+  for (const double bad : {-1e-300, 1.0, 4.0, inf, -inf,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (const std::size_t step : {std::size_t{0}, std::size_t{1000}}) {
+      Rng rng(5);
+      EXPECT_THROW((void)run_string_protocol(adj, GossipParams{},
+                                             {{bad, step, 0}}, rng),
+                   std::invalid_argument)
+          << bad << " at step " << step;
+    }
+  }
+  Rng rng(5);
+  EXPECT_TRUE(
+      run_string_protocol(adj, GossipParams{}, {{0.0, 0, 1}}, rng).agreement);
+}
+
 TEST(Gossip, NoAdversaryReachesAgreement) {
   Rng rng(11);
   const auto adj = make_gossip_topology(512, 8, rng);
@@ -393,6 +450,87 @@ TEST(Gossip, MessageBoundIsNearLinear) {
   // Lemma 12(iii): ~ n polylog n — 4x nodes must cost << 16x messages.
   EXPECT_LT(msgs_large, 10 * msgs_small);
   EXPECT_GT(msgs_large, msgs_small);
+}
+
+/// FNV-1a over a whole GossipOutcome plus the rng's next draw.
+std::uint64_t outcome_digest(const GossipOutcome& out, Rng& rng) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t v :
+       {std::uint64_t{out.agreement},
+        std::bit_cast<std::uint64_t>(out.mean_solution_set),
+        std::uint64_t{out.max_solution_set}, out.forward_events,
+        std::uint64_t{out.steps_run},
+        std::bit_cast<std::uint64_t>(out.global_minimum), rng.u64()}) {
+    h ^= v;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One flood on make_gossip_topology(n, 8): late releases at nodes 0,
+/// 63, 64 and n - 1 (those past n never fire), at step 0 and at the
+/// last Phase-2 step, two of them at one (node, step).  `tight` shrinks
+/// bins and counters so most first sightings are rejected or evict.
+std::uint64_t pinned_flood(std::size_t n, bool tight) {
+  Rng rng(4000 + n);
+  const auto adj = make_gossip_topology(n, 8, rng);
+  GossipParams params;
+  params.nodes = n;
+  params.phase1_attempts = 1 << 12;
+  if (tight) {
+    params.c0 = 0.5;
+    params.b = 0.5;
+  }
+  const auto phase2 = static_cast<std::size_t>(std::ceil(
+      params.d_prime *
+      std::log(static_cast<double>(std::max<std::size_t>(n, 3)))));
+  const auto last = static_cast<std::uint32_t>(n - 1);
+  const std::vector<LateRelease> attacks = {
+      {1e-12, 0, 0},
+      {3e-12, phase2 - 1, 63},
+      {0.3, 0, 64},
+      {2e-12, phase2 - 1, last},
+      {5e-13, phase2 - 1, last},
+      {0.01, 0, 63},
+      {4e-12, phase2 - 1, 64},
+  };
+  const GossipOutcome out = run_string_protocol(adj, params, attacks, rng);
+  return outcome_digest(out, rng);
+}
+
+TEST(Gossip, FloodsArePinned) {
+  // Recorded before the flood's destination loop moved onto the pool:
+  // n = 63, 64, 65 and 130 sit on either side of the block edges at
+  // 64 and 128.
+  struct Case {
+    std::size_t n;
+    std::uint64_t pin, tight_pin;
+  };
+  const Case cases[] = {
+      {1, 0x6efc7f7cfb8365b7ull, 0xf68f15e13084a1f1ull},
+      {63, 0xf470ff86e18beda6ull, 0x920739c74e2b9cafull},
+      {64, 0xc92323a531db0176ull, 0x2b89e3f07e1aa911ull},
+      {65, 0x7c5c0730b852c698ull, 0x3fc4bf6d678b6a95ull},
+      {130, 0x812295e3ec0772a2ull, 0xb64c05a8e0d00a58ull},
+      {1000, 0xdef2bf0d61ddb592ull, 0x8b64e8af66cb75c4ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(pinned_flood(c.n, false), c.pin) << "n=" << c.n;
+    EXPECT_EQ(pinned_flood(c.n, true), c.tight_pin) << "tight n=" << c.n;
+  }
+}
+
+TEST(Gossip, PoolAndInlineFloodsAgree) {
+  // A fan-out nested in pool work runs inline: the flood run inside
+  // parallel_for(1, ...) is the one-thread reference for the same
+  // flood run from the main thread across the whole pool.
+  const auto run = [] {
+    return std::pair{pinned_flood(1000, false), pinned_flood(1000, true)};
+  };
+  const auto outside = run();
+  std::pair<std::uint64_t, std::uint64_t> inside;
+  ThreadPool::global().parallel_for(1, [&](std::size_t) { inside = run(); });
+  EXPECT_EQ(inside, outside);
 }
 
 // --- ID credentials ---

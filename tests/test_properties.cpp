@@ -953,8 +953,10 @@ TEST(GossipProperties, RunStringProtocolMatchesPushReference) {
   Gen<Case> gen{[](Source& src) {
     Case c;
     // Rows are unsorted and may be asymmetric, repeat an entry, hold a
-    // self-loop or be empty.
-    c.adjacency.resize(1 + src.below(20));
+    // self-loop or be empty.  About one case in four is wide enough to
+    // span several of the engine's flood blocks.
+    const bool wide = src.below(4) == 0;
+    c.adjacency.resize(wide ? 65 + src.below(136) : 1 + src.below(20));
     const std::size_t n = c.adjacency.size();
     for (auto& row : c.adjacency) {
       row.resize(src.below(6));
@@ -972,7 +974,8 @@ TEST(GossipProperties, RunStringProtocolMatchesPushReference) {
     p.epoch_T =
         proptest::element_of<std::uint64_t>({1 << 20, 1, 4}).run(src);
     // Several releases may share a node and step; some name no node
-    // (at_node >= n) or a step past the run.
+    // (at_node >= n) or a step past the run.  A wide case mostly
+    // releases on either side of a block edge.
     const std::size_t attacks = src.below(7);
     for (std::size_t a = 0; a < attacks; ++a) {
       pow::LateRelease atk;
@@ -981,6 +984,10 @@ TEST(GossipProperties, RunStringProtocolMatchesPushReference) {
       } else {
         atk.release_step = src.below(14);
         atk.at_node = static_cast<std::uint32_t>(src.below(n + 2));
+        if (wide && src.below(4) != 0) {
+          const std::size_t edge = 64 * (1 + src.below((n - 1) / 64));
+          atk.at_node = static_cast<std::uint32_t>(edge - 1 + src.below(2));
+        }
       }
       const std::uint64_t kind = src.below(3);
       atk.output = kind == 0   ? 1e-12 * static_cast<double>(1 + a % 2)
