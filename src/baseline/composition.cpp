@@ -6,13 +6,14 @@ namespace tg::baseline {
 
 std::vector<GroupComposition> graph_compositions(
     const core::GroupGraph& graph) {
+  // Every builder and mutator keeps a group's bad-member counter equal
+  // to a recount of its members against the member pool, so the
+  // snapshot reads the table's columns instead of the pool.
   std::vector<GroupComposition> out(graph.size());
-  const core::Population& pool = graph.member_pool();
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    for (const auto m : graph.group(i).members) {
-      ++out[i].size;
-      if (pool.is_bad(m)) ++out[i].bad;
-    }
+    const core::GroupView group = graph.group(i);
+    out[i].size = group.members.size();
+    out[i].bad = group.bad_members;
   }
   return out;
 }

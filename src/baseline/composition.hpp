@@ -33,7 +33,8 @@ struct GroupComposition {
 
 /// Composition snapshot of a group graph, one entry per group: the
 /// same shape the region baselines expose, so cross-topology metrics
-/// share one code path.
+/// share one code path.  Sizes and bad counts are read from the
+/// group table's length and bad-member columns, not recounted.
 [[nodiscard]] std::vector<GroupComposition> graph_compositions(
     const core::GroupGraph& graph);
 

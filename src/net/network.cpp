@@ -15,6 +15,21 @@ void default_corrupt(Message& m) {
   for (auto& word : m.payload) word ^= 1ULL;
 }
 
+/// `hash` advanced by one message: FNV-1a over its header words and
+/// payload.
+std::uint64_t fold_trace(std::uint64_t hash, const Message& m) noexcept {
+  const auto mix = [&](std::uint64_t word) {
+    hash ^= word;
+    hash *= 1099511628211ULL;  // FNV prime
+  };
+  mix(m.src);
+  mix(m.dst);
+  mix(m.tag);
+  mix(m.sent_round);
+  for (const auto w : m.payload) mix(w);
+  return hash;
+}
+
 }  // namespace
 
 Network::Network(DeliveryPolicy policy, std::uint64_t seed,
@@ -38,18 +53,6 @@ void Network::inject(Message m) {
   ++stats_.sent;
   m.sent_round = round_;
   inbox_.push_back(std::move(m));
-}
-
-void Network::absorb_trace(const Message& m) noexcept {
-  const auto mix = [&](std::uint64_t word) {
-    trace_hash_ ^= word;
-    trace_hash_ *= 1099511628211ULL;  // FNV prime
-  };
-  mix(m.src);
-  mix(m.dst);
-  mix(m.tag);
-  mix(m.sent_round);
-  for (const auto w : m.payload) mix(w);
 }
 
 void Network::route_outbox(std::vector<Message>& outbox) {
@@ -194,15 +197,20 @@ void Network::gather(std::vector<Message>& deliveries) {
   }
 
   // Scatter through a permutation: each message is move-constructed
-  // once, written sequentially, into its destination's range.
+  // once, written sequentially, into its destination's range, and
+  // folded into the trace hash as it moves — delivery order, the
+  // determinism anchor, fixed before any handler runs.
   order_.resize(inbox_.size());
   for (std::uint32_t i = 0; i < inbox_.size(); ++i) {
     order_[counts_[inbox_[i].dst]++] = i;
   }
   deliveries.reserve(inbox_.size());
+  std::uint64_t hash = trace_hash_;
   for (const std::uint32_t i : order_) {
+    hash = fold_trace(hash, inbox_[i]);
     deliveries.push_back(std::move(inbox_[i]));
   }
+  trace_hash_ = hash;
   for (const Active& a : active_) counts_[a.node] = 0;
   inbox_.clear();
 }
@@ -237,12 +245,10 @@ std::size_t Network::run_round() {
   // The network-owned buffers are reused (allocation-free once warm);
   // the last round's deliveries die here, before any handler runs.
   deliveries_.clear();
+  // The trace hash and the per-node delivery order are fixed here,
+  // before any parallelism starts, so handlers may then consume their
+  // batches.
   gather(deliveries_);
-
-  // Trace in delivery order: the determinism anchor (the trace hash and
-  // the per-node delivery order are fixed here, before any parallelism
-  // starts, so handlers may then consume their batches).
-  for (const Message& m : deliveries_) absorb_trace(m);
   const std::size_t delivered = deliveries_.size();
   stats_.delivered += delivered;
 

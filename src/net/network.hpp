@@ -14,8 +14,9 @@
 //      it by destination into one delivery buffer with CSR ranges,
 //   2. forms the active set — destinations plus nodes that asked for
 //      this round via Context::wake_at, marked in a per-node bitmap and
-//      read back in NodeId order — and folds the deliveries into the
-//      trace hash in that order,
+//      read back in NodeId order — and folds each message into the
+//      trace hash as the sort's scatter moves it into the delivery
+//      buffer, so in delivery order with no pass of its own,
 //   3. runs each active node's on_messages (its range, the node's to
 //      consume: moved-out or rewritten payloads cannot reach the trace
 //      or another node) and on_round_end, in parallel over contiguous
@@ -182,8 +183,9 @@ class Network {
   };
 
   /// Move the inbox into `deliveries` grouped by destination (stable:
-  /// each destination keeps push order), and set active_ to the
-  /// destinations and this round's wakes, in NodeId order.
+  /// each destination keeps push order), folding each message into the
+  /// trace hash as it moves, and set active_ to the destinations and
+  /// this round's wakes, in NodeId order.
   void gather(std::vector<Message>& deliveries);
   /// Run the handlers of active_[lane.begin, lane.end); each node gets
   /// its own range of `deliveries` to consume.
@@ -198,7 +200,6 @@ class Network {
   void schedule_wakes(std::vector<Wake>& wakes);
   /// Park `m` in the delay wheel until round_ + delay.
   void delay(Message&& m, std::size_t delay);
-  void absorb_trace(const Message& m) noexcept;
   /// End-of-round telemetry flush (only called with a session active):
   /// publishes this round's stats deltas as counters, samples
   /// the delivery histogram, and emits the per-round counter event.

@@ -83,14 +83,27 @@ GossipOutcome run_string_protocol(
       throw std::invalid_argument("late release output outside [0, 1)");
     }
   }
-  GossipOutcome out;
+  // The multipliers are cast to counts below: each must be a finite
+  // non-negative number (negated so that NaN fails too).
+  for (const double multiplier :
+       {params.d_prime, params.c0, params.d0, params.b}) {
+    if (!(multiplier >= 0.0 && std::isfinite(multiplier))) {
+      throw std::invalid_argument(
+          "gossip multiplier (d', c0, d0, b) is not a finite number >= 0");
+    }
+  }
   const std::size_t n = adjacency.size();
-  if (n == 0) return out;
-
   const double ln_n = std::log(static_cast<double>(std::max<std::size_t>(n, 3)));
   const std::size_t phase2 =
       params.phase2_steps ? params.phase2_steps
                           : static_cast<std::size_t>(std::ceil(params.d_prime * ln_n));
+  if (phase2 == 0) {
+    // Nodes select at the end of Phase 2: without a step none would.
+    throw std::invalid_argument("gossip Phase 2 has no step");
+  }
+  GossipOutcome out;
+  if (n == 0) return out;
+
   const std::size_t phase3 =
       params.phase3_steps ? params.phase3_steps
                           : static_cast<std::size_t>(std::ceil(params.d_prime * ln_n));

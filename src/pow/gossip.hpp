@@ -73,8 +73,11 @@ struct GossipOutcome {
 
 /// Run the protocol on an explicit adjacency (the giant component).
 /// Rows may be asymmetric and hold duplicates or self-loops; an entry
-/// >= adjacency.size() throws std::out_of_range.  A release whose
-/// output is NaN or outside [0, 1) throws std::invalid_argument.
+/// >= adjacency.size() throws std::out_of_range.  std::invalid_argument
+/// is thrown, before any draw, for a release whose output is NaN or
+/// outside [0, 1), for a d_prime, c0, d0 or b that is NaN, infinite or
+/// negative, and when Phase 2 has no step (phase2_steps = 0 and
+/// ceil(d_prime ln n) = 0), since no node would ever select.
 [[nodiscard]] GossipOutcome run_string_protocol(
     const std::vector<std::vector<std::uint32_t>>& adjacency,
     const GossipParams& params, const std::vector<LateRelease>& attacks,

@@ -1,6 +1,7 @@
 #include "workload/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -42,10 +43,12 @@ constexpr std::size_t kFailoverCandidates = 4;
 // embeds the remaining hop chain (matching the paper's search
 // semantics — the route is fixed by the start, evaluated group by
 // group; per-hop re-routing would loop on source-path overlays like
-// de Bruijn).  One block carries an op from issue to reply: the entry
-// group grows it for the chain, every later hop shifts the chain one
-// word left, and the owner shrinks it into the reply, each rewriting
-// the padding at its new offset.
+// de Bruijn).  One block carries an op from issue to reply: the issuer
+// sizes it for the entry group's chain, the entry group moves the
+// padding right past the chain, every later hop shifts the chain and
+// the padding one word left, and the owner moves the padding left into
+// the reply.  Padding word i is a function of the op id alone, so a
+// shifted payload equals one rebuilt at the new offset.
 enum : std::size_t {
   kReqOpId = 0,
   kReqReplyTo = 1,
@@ -55,31 +58,29 @@ enum : std::size_t {
   kReqHopCount = 5,
   kReqHops = 6,  // kReqHopCount hop words follow, then padding
 };
+constexpr std::size_t kReplyWords = 3;
 constexpr std::uint64_t kFreshRequest = ~std::uint64_t{0};
-
-/// Size `payload` to `offset` words plus the padding and write the
-/// padding there: synthetic certificate words (cf. RelayMember),
-/// deterministic filler the trace hash covers.  Word i is a function
-/// of the op id alone, so a payload rewritten in place at a new
-/// offset equals one built from scratch.
-void pad_payload(net::Words& payload, std::size_t offset, std::uint64_t op_id,
-                 std::size_t padding_words) {
-  payload.resize(offset + padding_words);
-  for (std::size_t i = 0; i < padding_words; ++i) {
-    payload[offset + i] = mix64(op_id + i + 1);
-  }
-}
 
 void send_request(net::Context& ctx, net::NodeId dst, const Operation& op,
                   std::uint64_t op_id, net::NodeId reply_to,
                   std::size_t padding_words) {
-  net::Words payload{op_id,
-                     reply_to,
-                     static_cast<std::uint64_t>(op.kind),
-                     op.key.raw(),
-                     op.value,
-                     kFreshRequest};
-  pad_payload(payload, kReqHops, op_id, padding_words);
+  // Room for the entry group's hop chain up front, so an op costs one
+  // block: twice the request, which is what the entry group's regrowth
+  // of an exactly-sized block would allocate.
+  net::Words payload;
+  payload.reserve(2 * (kReqHops + padding_words));
+  payload = {op_id,
+             reply_to,
+             static_cast<std::uint64_t>(op.kind),
+             op.key.raw(),
+             op.value,
+             kFreshRequest};
+  // Synthetic certificate words (cf. RelayMember): deterministic
+  // filler the trace hash covers.
+  payload.resize(kReqHops + padding_words);
+  for (std::size_t i = 0; i < padding_words; ++i) {
+    payload[kReqHops + i] = mix64(op_id + i + 1);
+  }
   ctx.send(dst, kTagRequest, std::move(payload));
 }
 
@@ -88,11 +89,19 @@ void send_request(net::Context& ctx, net::NodeId dst, const Operation& op,
 /// hazard (silent drop en route, garbage service when responsible).
 /// A request's payload block travels with it: each hop rewrites the
 /// delivered payload in place and moves it on, and the owner turns
-/// the same block into the reply.
+/// the same block into the reply.  The node caches what every hop
+/// reads of its own group (size, red flag) and reads the sender's size
+/// from the world's compact size array.
 class GroupNode final : public net::Node {
  public:
   GroupNode(std::size_t index, Service& service, std::size_t padding_words)
-      : index_(index), service_(&service), padding_words_(padding_words) {}
+      : service_(&service),
+        sizes_(service.world().group_sizes().data()),
+        padding_words_(padding_words),
+        index_(static_cast<net::NodeId>(index)),
+        groups_(static_cast<net::NodeId>(service.world().groups())),
+        size_(sizes_[index]),
+        red_(service.world().is_red(index)) {}
 
   void on_message(const net::Message& m, net::Context& ctx) override {
     net::Message copy = m;
@@ -115,24 +124,31 @@ class GroupNode final : public net::Node {
  private:
   void handle(net::Message& m, net::Context& ctx, telemetry::Session* telem) {
     net::Words& payload = m.payload;
-    if (m.tag != kTagRequest || payload.size() < kReqHops) return;
-    const World& world = service_->world();
-    Operation op;
-    op.kind = static_cast<OpKind>(payload[kReqKind]);
-    op.key = ids::RingPoint{payload[kReqKey]};
-    op.value = payload[kReqValue];
+    if (m.tag != kTagRequest || payload.size() < kReqHops + padding_words_) {
+      return;
+    }
     const std::uint64_t op_id = payload[kReqOpId];
     const auto reply_to = static_cast<net::NodeId>(payload[kReqReplyTo]);
+    const ids::RingPoint key{payload[kReqKey]};
 
     // All-to-all accounting: a group-to-group hop costs |G_a| x |G_b|.
-    if (m.src < world.groups()) {
-      analytic_messages_ += world.pair_messages(m.src, index_);
+    if (m.src < groups_) {
+      analytic_messages_ += std::uint64_t{sizes_[m.src]} * size_;
     }
+
+    // The owner is asked of the world once per op, at the entry group.
+    // A relayed request has reached its owner exactly when its hop
+    // chain is exhausted: every overlay's route stops at its first
+    // arrival at suc(key), so the owner is the chain's last hop and no
+    // earlier one (overlay.route-ends-at-first-arrival).
+    const std::uint64_t hop_word = payload[kReqHopCount];
+    const bool fresh = hop_word == kFreshRequest;
+    const bool responsible =
+        fresh ? service_->world().responsible(key) == index_ : hop_word == 0;
 
     const auto src_group =
         telemetry::kSrcGroup + static_cast<std::uint32_t>(index_);
-    const bool responsible = world.responsible(op.key) == index_;
-    if (world.is_red(index_)) {
+    if (red_) {
       if (!responsible) {
         if (telem != nullptr) {
           telem->count(telemetry::Probe::workload_red_drops);
@@ -142,8 +158,9 @@ class GroupNode final : public net::Node {
         return;  // the search dies here; client times out
       }
       // Adversary-controlled owner: serve garbage.
-      reply(ctx, reply_to, std::move(payload), kStatusCorrupted, ~op.value);
-      analytic_messages_ += world.composition(index_).size;
+      const std::uint64_t forged = ~payload[kReqValue];
+      reply(ctx, reply_to, std::move(payload), kStatusCorrupted, forged);
+      analytic_messages_ += size_;
       if (telem != nullptr) {
         telem->event(telemetry::EventName::op_serve, src_group, 'n', op_id,
                      /*a=*/index_, /*b=*/kStatusCorrupted);
@@ -151,11 +168,15 @@ class GroupNode final : public net::Node {
       return;
     }
     if (responsible) {
+      Operation op;
+      op.kind = static_cast<OpKind>(payload[kReqKind]);
+      op.key = key;
+      op.value = payload[kReqValue];
       const Execution exec = service_->execute(op, index_);
       reply(ctx, reply_to, std::move(payload),
             exec.ok ? kStatusOk : kStatusFailed, exec.value);
       // Each member returns its copy for majority filtering.
-      analytic_messages_ += world.composition(index_).size;
+      analytic_messages_ += size_;
       if (telem != nullptr) {
         telem->event(telemetry::EventName::op_serve, src_group, 'n', op_id,
                      /*a=*/index_, /*b=*/exec.ok ? kStatusOk : kStatusFailed);
@@ -166,20 +187,24 @@ class GroupNode final : public net::Node {
     // Forward along the hop chain; the entry group establishes it.
     std::size_t next;
     std::size_t chain;  // hop words after the next hop
-    if (payload[kReqHopCount] == kFreshRequest) {
+    if (fresh) {
       // One scratch route per executor thread: handlers on a thread
       // run one at a time, and the route is consumed right here.
       thread_local overlay::Route route;
-      world.topology().route_unrecorded(route, index_, op.key);
+      service_->world().topology().route_unrecorded(route, index_, key);
       if (telem != nullptr) {
         overlay::record_route(*telem, route.ok, route.hops());
       }
       if (!route.ok || route.path.size() < 2) return;  // routing dead end
       next = route.path[1];
       chain = route.path.size() - 2;
-      payload.resize(kReqHops + chain + padding_words_);  // one regrowth
+      // Move the padding right past the chain, then write the chain.
+      payload.resize(kReqHops + chain + padding_words_);
+      std::uint64_t* const words = payload.begin();
+      std::memmove(words + kReqHops + chain, words + kReqHops,
+                   padding_words_ * sizeof(std::uint64_t));
       for (std::size_t i = 0; i < chain; ++i) {
-        payload[kReqHops + i] = route.path[i + 2];
+        words[kReqHops + i] = route.path[i + 2];
       }
       if (telem != nullptr) {
         // Entry group: the op's full hop chain is fixed here.
@@ -187,19 +212,20 @@ class GroupNode final : public net::Node {
                      /*a=*/index_, /*b=*/route.path.size() - 1);
       }
     } else {
-      const std::uint64_t remaining = payload[kReqHopCount];
-      if (remaining == 0 || remaining > payload.size() - kReqHops) {
-        return;  // chain exhausted without reaching the owner
+      if (hop_word > payload.size() - kReqHops - padding_words_) {
+        return;  // malformed chain
       }
       next = static_cast<std::size_t>(payload[kReqHops]);
-      chain = static_cast<std::size_t>(remaining) - 1;
-      std::copy(payload.begin() + kReqHops + 1,
-                payload.begin() + kReqHops + 1 + chain,
-                payload.begin() + kReqHops);
+      chain = static_cast<std::size_t>(hop_word) - 1;
+      // Pop the next hop: the rest of the chain and the padding shift
+      // one word left.
+      std::uint64_t* const words = payload.begin();
+      std::memmove(words + kReqHops, words + kReqHops + 1,
+                   (payload.size() - kReqHops - 1) * sizeof(std::uint64_t));
+      payload.resize(payload.size() - 1);
     }
-    if (next >= world.groups()) return;  // malformed hop
+    if (next >= groups_) return;  // malformed hop
     payload[kReqHopCount] = chain;
-    pad_payload(payload, kReqHops + chain, op_id, padding_words_);
     if (telem != nullptr) {
       telem->event(telemetry::EventName::op_hop, src_group, 'n', op_id,
                    /*a=*/index_, /*b=*/next);
@@ -207,21 +233,28 @@ class GroupNode final : public net::Node {
     ctx.send(static_cast<net::NodeId>(next), kTagRequest, std::move(payload));
   }
 
-  /// Turn a request payload into the reply (op_id, status, value,
-  /// padding): the op id already sits in word 0.
+  /// Turn a request payload at its owner (op_id, ..., hop count 0 or
+  /// fresh, padding) into the reply (op_id, status, value, padding):
+  /// the op id already sits in word 0 and the padding moves left.
   void reply(net::Context& ctx, net::NodeId reply_to, net::Words&& payload,
              std::uint64_t status, std::uint64_t value) {
-    const std::uint64_t op_id = payload[kReqOpId];
-    payload[1] = status;
-    payload[2] = value;
-    pad_payload(payload, 3, op_id, padding_words_);
+    std::uint64_t* const words = payload.begin();
+    words[1] = status;
+    words[2] = value;
+    std::memmove(words + kReplyWords, words + kReqHops,
+                 padding_words_ * sizeof(std::uint64_t));
+    payload.resize(kReplyWords + padding_words_);
     ctx.send(reply_to, kTagReply, std::move(payload));
   }
 
-  std::size_t index_;
   Service* service_;
+  const std::uint32_t* sizes_;  ///< every group's size, by group index
   std::size_t padding_words_;
   std::uint64_t analytic_messages_ = 0;
+  net::NodeId index_;
+  net::NodeId groups_;
+  std::uint32_t size_;  ///< own group's size
+  bool red_;            ///< own group's red flag
 };
 
 /// Shared issuing machinery: op numbering, start-group selection

@@ -1,5 +1,7 @@
 #include "workload/service.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "overlay/registry.hpp"
@@ -47,7 +49,9 @@ World World::from_regions(std::vector<baseline::GroupComposition> regions,
 
 void World::finish_init() {
   double best = -1.0;
+  sizes_.resize(compositions_.size());
   for (std::size_t i = 0; i < compositions_.size(); ++i) {
+    sizes_[i] = static_cast<std::uint32_t>(compositions_[i].size);
     const double f = compositions_[i].bad_fraction();
     if (f > best) {
       best = f;
@@ -82,8 +86,7 @@ const overlay::InputGraph& World::topology() const noexcept {
 void World::prepare_routing() const { topology().prepare_rows(); }
 
 std::uint64_t World::pair_messages(std::size_t a, std::size_t b) const noexcept {
-  return static_cast<std::uint64_t>(compositions_[a].size) *
-         static_cast<std::uint64_t>(compositions_[b].size);
+  return std::uint64_t{sizes_[a]} * sizes_[b];
 }
 
 double World::red_fraction() const noexcept {
@@ -91,6 +94,57 @@ double World::red_fraction() const noexcept {
   std::size_t reds = 0;
   for (const auto r : red_) reds += r;
   return static_cast<double>(reds) / static_cast<double>(red_.size());
+}
+
+// ---------------------------------------------------------------------------
+// ReplicaTable
+// ---------------------------------------------------------------------------
+
+ReplicaTable::ReplicaTable(std::size_t keys)
+    : slots_(std::bit_ceil(2 * std::max<std::size_t>(keys, 1))),
+      mask_(slots_.size() - 1) {}
+
+void ReplicaTable::put(std::uint64_t key, std::uint64_t value) {
+  if (key == 0) {
+    has_zero_ = true;
+    zero_value_ = value;
+    return;
+  }
+  for (std::size_t i = key & mask_;; i = (i + 1) & mask_) {
+    Slot& slot = slots_[i];
+    if (slot.key == key) {
+      slot.value = value;
+      return;
+    }
+    if (slot.key != 0) continue;
+    if (2 * (used_ + 1) > slots_.size()) {
+      grow();
+      put(key, value);
+      return;
+    }
+    slot = {key, value};
+    ++used_;
+    return;
+  }
+}
+
+const std::uint64_t* ReplicaTable::find(std::uint64_t key) const noexcept {
+  if (key == 0) return has_zero_ ? &zero_value_ : nullptr;
+  for (std::size_t i = key & mask_;; i = (i + 1) & mask_) {
+    const Slot& slot = slots_[i];
+    if (slot.key == key) return &slot.value;
+    if (slot.key == 0) return nullptr;
+  }
+}
+
+void ReplicaTable::grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  mask_ = slots_.size() - 1;
+  used_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.key != 0) put(slot.key, slot.value);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -103,15 +157,14 @@ KvService::KvService(const World& world, std::size_t key_space,
       key_space_(key_space ? key_space : 1),
       salt_(salt),
       put_fraction_(put_fraction),
-      stores_(world.groups()) {
-  // Preload the dataset: every key stored at its responsible group,
-  // except where the owner is red — that data is lost to the
-  // adversary, and the traffic's failed gets will find it.
+      store_(key_space_) {
+  // Preload the dataset: every key stored once, unless its responsible
+  // group is red — that data is lost to the adversary, and the
+  // traffic's failed gets will find it.
   for (std::size_t i = 0; i < key_space_; ++i) {
     const ids::RingPoint key = key_point(i, salt_);
-    const std::size_t owner = world.responsible(key);
-    if (world.is_red(owner)) continue;
-    stores_[owner][key.raw()] = mix64(key.raw() ^ salt_);
+    if (world.is_red(world.responsible(key))) continue;
+    store_.put(key.raw(), mix64(key.raw() ^ salt_));
     ++preloaded_;
   }
 }
@@ -131,19 +184,18 @@ Operation KvService::next_operation(Rng& rng) const {
   return op;
 }
 
-Execution KvService::execute(const Operation& op, std::size_t group) {
+Execution KvService::execute(const Operation& op, std::size_t /*group*/) {
   Execution out;
-  auto& store = stores_.at(group);
   if (op.kind == OpKind::put) {
-    store[op.key.raw()] = op.value;
+    store_.put(op.key.raw(), op.value);
     out.ok = true;
     out.value = op.value;
     return out;
   }
-  const auto it = store.find(op.key.raw());
-  if (it == store.end()) return out;  // not found: the put was lost
+  const std::uint64_t* value = store_.find(op.key.raw());
+  if (value == nullptr) return out;  // not found: the put was lost
   out.ok = true;
-  out.value = it->second;
+  out.value = *value;
   return out;
 }
 
@@ -156,15 +208,14 @@ LookupService::LookupService(const World& world, std::size_t entries,
     : Service(world),
       entries_(entries ? entries : 1),
       salt_(salt),
-      bindings_(world.groups()) {
-  // The trusted zone transfer: register every binding directly at its
-  // responsible group.  Red owners never hold a serveable binding —
-  // a lookup landing there is adversary territory either way.
+      bindings_(entries_) {
+  // The trusted zone transfer: register every binding whose
+  // responsible group is blue.  Red owners never hold a serveable
+  // binding — a lookup landing there is adversary territory either way.
   for (std::size_t i = 0; i < entries_; ++i) {
     const ids::RingPoint key = KvService::key_point(i, salt_);
-    const std::size_t owner = world.responsible(key);
-    if (world.is_red(owner)) continue;
-    bindings_[owner][key.raw()] = mix64(key.raw() ^ salt_);
+    if (world.is_red(world.responsible(key))) continue;
+    bindings_.put(key.raw(), mix64(key.raw() ^ salt_));
     ++registered_;
   }
 }
@@ -176,13 +227,13 @@ Operation LookupService::next_operation(Rng& rng) const {
   return op;
 }
 
-Execution LookupService::execute(const Operation& op, std::size_t group) {
+Execution LookupService::execute(const Operation& op,
+                                 std::size_t /*group*/) {
   Execution out;
-  const auto& map = bindings_.at(group);
-  const auto it = map.find(op.key.raw());
-  if (it == map.end()) return out;
+  const std::uint64_t* value = bindings_.find(op.key.raw());
+  if (value == nullptr) return out;
   out.ok = true;
-  out.value = it->second;
+  out.value = *value;
   return out;
 }
 

@@ -11,12 +11,15 @@
 // baselines lifted onto an overlay of region centroids — so every
 // campaign topology serves the SAME ops over the SAME routing
 // abstraction and the emitted latencies are directly comparable.
+//
+// A service keeps its replicas in one `ReplicaTable` for all groups:
+// the engine executes an op only at its key's one responsible group,
+// so per-group maps would hold disjoint key sets and cost n tables.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "baseline/composition.hpp"
@@ -48,6 +51,12 @@ class World {
   [[nodiscard]] const baseline::GroupComposition& composition(
       std::size_t group) const {
     return compositions_.at(group);
+  }
+  /// Every group's size, one compact word per group: the hop path's
+  /// all-to-all accounting reads the sender's size here.
+  [[nodiscard]] const std::vector<std::uint32_t>& group_sizes()
+      const noexcept {
+    return sizes_;
   }
   /// Group responsible for a key (successor rule).
   [[nodiscard]] std::size_t responsible(ids::RingPoint key) const;
@@ -85,6 +94,7 @@ class World {
   ids::RingTable table_;
   std::unique_ptr<overlay::InputGraph> topology_;
   std::vector<baseline::GroupComposition> compositions_;
+  std::vector<std::uint32_t> sizes_;
   std::vector<std::uint8_t> red_;
   std::size_t most_bad_group_ = 0;
 };
@@ -110,9 +120,45 @@ struct Execution {
   std::uint64_t value = 0;
 };
 
-/// A service owns per-group state, touched ONLY from that group's
-/// handler (the runtime's actor discipline: group g's state is safe
-/// without locks because only node g executes ops against it).
+/// One service's replicas, for every group: an open-addressing table
+/// keyed by the key's ring point, with linear probing.  The capacity is
+/// a power of two at least twice the keys it holds, so a slot index is
+/// the key's low bits under a mask; the raw key 0 is kept beside the
+/// slots, because a zero key marks an empty slot.
+///
+/// Handlers of different groups run concurrently, but they touch
+/// disjoint keys (only a key's responsible group executes its ops), and
+/// traffic never inserts (every key an op can reach was stored at
+/// construction; an op whose owner is red never executes), so the slot
+/// layout is fixed while handlers run and a put writes only its own
+/// key's value word.
+class ReplicaTable {
+ public:
+  /// Sized for `keys` keys; grows (doubling) only past that.
+  explicit ReplicaTable(std::size_t keys);
+
+  /// Store `value` under `key`, replacing any earlier value.
+  void put(std::uint64_t key, std::uint64_t value);
+  /// The value stored under `key`, or nullptr.
+  [[nodiscard]] const std::uint64_t* find(std::uint64_t key) const noexcept;
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;  ///< 0 = empty
+    std::uint64_t value = 0;
+  };
+
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t used_ = 0;
+  bool has_zero_ = false;
+  std::uint64_t zero_value_ = 0;
+};
+
+/// A service serves ops from its replica table (see ReplicaTable for
+/// why one table is race-free under the parallel executor).
 /// `next_operation` is called from client handlers and must be a pure
 /// function of the rng it is handed — no mutable service state — so
 /// concurrent clients stay race-free and deterministic.
@@ -127,7 +173,8 @@ class Service {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   /// Draw the next client op deterministically from `rng`.
   [[nodiscard]] virtual Operation next_operation(Rng& rng) const = 0;
-  /// Execute at the (blue) responsible group.
+  /// Execute at the (blue) responsible group `group`.  The services
+  /// here keep one replica table for all groups and do not read it.
   virtual Execution execute(const Operation& op, std::size_t group) = 0;
 
   [[nodiscard]] const World& world() const noexcept { return *world_; }
@@ -167,8 +214,7 @@ class KvService final : public Service {
   std::uint64_t salt_;
   double put_fraction_;
   std::size_t preloaded_ = 0;
-  /// Per-group replica state (key.raw -> checksum); index = group.
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> stores_;
+  ReplicaTable store_;  ///< key.raw -> checksum
 };
 
 /// Decentralized name service (the name_service example, promoted):
@@ -192,7 +238,7 @@ class LookupService final : public Service {
   std::size_t entries_;
   std::uint64_t salt_;
   std::size_t registered_ = 0;
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> bindings_;
+  ReplicaTable bindings_;  ///< key.raw -> binding
 };
 
 }  // namespace tg::workload

@@ -6,12 +6,15 @@
 #include <limits>
 #include <stdexcept>
 
+#include "baseline/composition.hpp"
 #include "baseline/single_graph.hpp"
 #include "core/bootstrap.hpp"
 #include "core/builder.hpp"
 #include "core/churn.hpp"
 #include "core/epoch_manager.hpp"
 #include "core/robustness.hpp"
+#include "core/self_heal.hpp"
+#include "crypto/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace tg::core {
@@ -250,6 +253,66 @@ TEST(Bootstrap, FailsUnderMassiveAdversary) {
   }
   // At beta = 0.45 some bootstrap unions lose the majority.
   EXPECT_GT(failures, 0u);
+}
+
+TEST(GraphCompositions, CountersEqualARecount) {
+  // graph_compositions reads each group's size and bad count from the
+  // table's counters; they must equal a recount of the members against
+  // the member pool after every way a graph is built or mutated.
+  const auto expect_recount = [](const GroupGraph& graph,
+                                 const std::string& label) {
+    const auto comps = baseline::graph_compositions(graph);
+    EXPECT_EQ(comps.size(), graph.size()) << label;
+    std::size_t bad_total = 0;
+    for (std::size_t i = 0; i < std::min(comps.size(), graph.size()); ++i) {
+      std::size_t bad = 0;
+      for (const auto m : graph.members(i)) {
+        if (graph.member_pool().is_bad(m)) ++bad;
+      }
+      EXPECT_EQ(comps[i].size, graph.members(i).size()) << label << " " << i;
+      EXPECT_EQ(comps[i].bad, bad) << label << " " << i;
+      bad_total += bad;
+    }
+    return bad_total;
+  };
+
+  for (const double beta : {0.05, 0.35}) {
+    for (const BuildMode mode :
+         {BuildMode::dual_graph, BuildMode::single_graph}) {
+      const auto p = small_params(512, beta, 11);
+      BuilderConfig cfg;
+      cfg.mode = mode;
+      EpochBuilder builder(p, cfg);
+      Rng rng(p.seed);
+      const EpochGraphs initial = builder.initial(rng);
+      const std::string label =
+          "beta " + std::to_string(beta) +
+          (mode == BuildMode::dual_graph ? " dual" : " single");
+      expect_recount(*initial.g1, label + " pristine");
+      const EpochGraphs next = builder.build_next(initial, rng);
+      EXPECT_GT(expect_recount(*next.g1, label + " build_next g1"), 0u);
+      expect_recount(*next.g2, label + " build_next g2");
+    }
+  }
+
+  const auto p = small_params(512, 0.22, 23);
+  Rng rng(p.seed);
+  const auto pop =
+      std::make_shared<const Population>(Population::uniform(p.n, p.beta, rng));
+  const crypto::OracleSuite oracles(p.seed);
+  GroupGraph churned = GroupGraph::pristine(p, pop, oracles.h1);
+  (void)apply_good_departures(churned, 0.3, rng);
+  expect_recount(churned, "churned");
+
+  GroupGraph healed = GroupGraph::pristine(p, pop, oracles.h1);
+  const GroupGraph partner = GroupGraph::pristine(p, pop, oracles.h2);
+  ASSERT_GT(healed.red_fraction(), 0.0);
+  for (int round = 0; round < 3; ++round) {
+    const HealReport report =
+        self_heal_round(healed, partner, oracles.h1, 0x100 + round, 800, rng);
+    EXPECT_GT(report.rebuilds, 0u) << round;
+  }
+  expect_recount(healed, "self-healed");
 }
 
 }  // namespace

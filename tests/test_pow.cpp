@@ -400,6 +400,50 @@ TEST(Gossip, ReleaseOutputOutsideUnitIntervalThrows) {
       run_string_protocol(adj, GossipParams{}, {{0.0, 0, 1}}, rng).agreement);
 }
 
+TEST(Gossip, NonFiniteOrNegativeMultipliersThrow) {
+  // d', c0, d0 and b are cast to step, cap, set and bin counts; a
+  // value the cast cannot take is refused before any draw.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<std::uint32_t>> adj = {{1}, {0}};
+  for (double GossipParams::*field :
+       {&GossipParams::d_prime, &GossipParams::c0, &GossipParams::d0,
+        &GossipParams::b}) {
+    for (const double bad : {-1.0, -1e-300, inf, -inf,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      GossipParams params;
+      params.phase2_steps = 4;  // d' = bad must not pass as "no Phase 2"
+      params.*field = bad;
+      Rng rng(5);
+      const std::uint64_t next = Rng(5).u64();
+      EXPECT_THROW((void)run_string_protocol(adj, params, {}, rng),
+                   std::invalid_argument)
+          << bad;
+      EXPECT_EQ(rng.u64(), next) << bad;
+    }
+  }
+  // Zero is a valid multiplier wherever a step count is still set.
+  GossipParams zero;
+  zero.phase2_steps = 2;
+  zero.d_prime = zero.c0 = zero.d0 = zero.b = 0.0;
+  Rng rng(5);
+  EXPECT_NO_THROW((void)run_string_protocol(adj, zero, {}, rng));
+}
+
+TEST(Gossip, NoPhase2StepThrows) {
+  // Nodes select at the end of Phase 2; with no step none would, and
+  // agreement would ask whether uid 0 is held everywhere.
+  const std::vector<std::vector<std::uint32_t>> adj = {{1}, {0}};
+  GossipParams params;
+  params.d_prime = 0.0;
+  params.phase2_steps = 0;
+  params.phase3_steps = 8;
+  Rng rng(5);
+  EXPECT_THROW((void)run_string_protocol(adj, params, {}, rng),
+               std::invalid_argument);
+  params.phase2_steps = 1;
+  EXPECT_NO_THROW((void)run_string_protocol(adj, params, {}, rng));
+}
+
 TEST(Gossip, NoAdversaryReachesAgreement) {
   Rng rng(11);
   const auto adj = make_gossip_topology(512, 8, rng);

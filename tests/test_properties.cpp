@@ -498,6 +498,57 @@ TEST(OverlayProperties, GreedyFingerHopMatchesFullScan) {
       iters(4), [](std::uint64_t seed) { return "seed " + show_u64s({seed}); });
 }
 
+TEST(OverlayProperties, RouteEndsAtFirstArrival) {
+  // Every overlay's route loop stops at its first arrival at the
+  // key's successor, so a successful route holds that node exactly
+  // once, as its last hop.  The workload engine relies on it: a
+  // relayed request has reached its owner exactly when its hop chain
+  // is exhausted.  Uniform tables, and one clustered in a 2^40 arc.
+  struct Shape {
+    std::size_t n;
+    bool clustered;
+  };
+  const Shape shapes[] = {{1, false},  {2, false},    {3, false},
+                          {64, false}, {1000, false}, {64, true}};
+  expect_property<std::uint64_t>(
+      "overlay.route-ends-at-first-arrival", proptest::u64(),
+      [&](std::uint64_t seed) {
+        Rng rng(seed);
+        std::size_t routed = 0;
+        for (const Shape& shape : shapes) {
+          std::vector<ids::RingPoint> points;
+          const std::uint64_t base = rng.u64();
+          for (std::size_t i = 0; i < shape.n; ++i) {
+            points.emplace_back(shape.clustered ? base + rng.below(1ULL << 40)
+                                                : rng.u64());
+          }
+          const ids::RingTable table(std::move(points));
+          const std::size_t n = table.size();
+          for (const overlay::Kind kind : overlay::all_kinds()) {
+            const auto graph = overlay::make_overlay(kind, table);
+            for (int q = 0; q < 60; ++q) {
+              const std::uint64_t on_id = table.at(rng.below(n)).raw();
+              const std::uint64_t keys[] = {0,         ~0ULL,     on_id,
+                                            on_id - 1, on_id + 1, rng.u64()};
+              const ids::RingPoint key{keys[q % std::size(keys)]};
+              const std::size_t target = table.successor_index(key);
+              const std::size_t start = q % 7 == 0 ? target : rng.below(n);
+              const overlay::Route route = graph->route(start, key);
+              if (!route.ok) continue;
+              ++routed;
+              if (route.path.back() != target ||
+                  std::count(route.path.begin(), route.path.end(), target) !=
+                      1) {
+                return false;
+              }
+            }
+          }
+        }
+        return routed > 0;
+      },
+      iters(4), [](std::uint64_t seed) { return "seed " + show_u64s({seed}); });
+}
+
 // ---------- Group-graph construction, across beta ----------
 
 Gen<double> beta_notch() {
@@ -1003,6 +1054,17 @@ TEST(GossipProperties, RunStringProtocolMatchesPushReference) {
       gen,
       [](const Case& c) {
         Rng ref_rng(c.seed), rng(c.seed);
+        if (c.params.phase2_steps == 0 && c.params.d_prime == 0.0) {
+          // No Phase 2 step: nothing would ever be selected, so the
+          // engine refuses the run.
+          try {
+            (void)pow::run_string_protocol(c.adjacency, c.params, c.attacks,
+                                           rng);
+          } catch (const std::invalid_argument&) {
+            return true;
+          }
+          return false;
+        }
         const auto want =
             push_string_protocol(c.adjacency, c.params, c.attacks, ref_rng);
         const auto got =

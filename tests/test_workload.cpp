@@ -319,6 +319,74 @@ TEST(WorkloadEngine, RedHeavyKvTrafficIsPinned) {
   }
 }
 
+TEST(WorkloadEngine, LookupTrafficIsPinned) {
+  // Lookup-only traffic in both loop modes, over the small tinygroups
+  // world and over the 6-of-16-red region world above, with requests
+  // inline at the issuer (padding 0) and spilled (12).  Recorded while
+  // every hop still asked the world for the key's owner and each
+  // group kept its own binding map.
+  using Loop = scenario::WorkloadAxis::Loop;
+  struct Pin {
+    bool region;
+    Loop loop;
+    std::size_t padding;
+    std::uint64_t trace, issued, completed, failed, timed_out, analytic;
+  };
+  const Pin pins[] = {
+      {false, Loop::open, 0, 0xe6d480e38fc7b882ULL, 128, 118, 2, 8, 218109},
+      {false, Loop::open, 12, 0x592cd1d29a752436ULL, 128, 118, 2, 8, 218109},
+      {false, Loop::closed, 0, 0x40a25943b0618682ULL, 28, 26, 0, 2, 51001},
+      {false, Loop::closed, 12, 0xb4f413f019a29c2aULL, 28, 26, 0, 2, 51001},
+      {true, Loop::open, 0, 0x799cf833bc093c6cULL, 192, 15, 23, 154, 23751},
+      {true, Loop::open, 12, 0xfa66ce9f3d817bf4ULL, 192, 15, 23, 154, 23751},
+      {true, Loop::closed, 0, 0xe380895c0283c47cULL, 17, 1, 1, 15, 1962},
+      {true, Loop::closed, 12, 0x8f5737a818f9758fULL, 17, 1, 1, 15, 1962},
+  };
+  for (const Pin& pin : pins) {
+    const std::string label = std::string(pin.region ? "region" : "graph") +
+                              (pin.loop == Loop::open ? " open" : " closed") +
+                              " padding " + std::to_string(pin.padding);
+    workload::RunResult run;
+    if (pin.region) {
+      std::vector<baseline::GroupComposition> regions(16);
+      for (std::size_t i = 0; i < regions.size(); ++i) {
+        regions[i].size = 9;
+        regions[i].bad = i % 8 < 3 ? 6 : 1;
+      }
+      const World world = World::from_regions(std::move(regions));
+      LookupService service(world, 64, /*salt=*/5);
+      workload::Spec spec;
+      spec.mode = pin.loop == Loop::open ? workload::Mode::open_loop
+                                         : workload::Mode::closed_loop;
+      spec.rate = 3.0;
+      spec.clients = 4;
+      spec.rounds = 64;
+      spec.timeout_rounds = 16;
+      spec.padding_words = pin.padding;
+      run = workload::run(service, spec, 41, 1);
+    } else {
+      const auto spec = small_traffic_spec(
+          scenario::WorkloadAxis::Service::lookup, pin.loop);
+      Rng rng(31);
+      const World world = workload::world_for_trial(spec, false, rng);
+      const auto svc =
+          workload::make_service(spec.workload.service, world, 128, rng());
+      workload::Spec engine = workload::engine_spec(spec, false);
+      engine.padding_words = pin.padding;
+      run = workload::run(*svc, engine, 77, 1);
+    }
+    const Recorder& r = run.recorder;
+    EXPECT_EQ(run.trace_hash, pin.trace)
+        << label << " trace 0x" << std::hex << run.trace_hash;
+    EXPECT_EQ(r.issued, pin.issued) << label;
+    EXPECT_EQ(r.completed, pin.completed) << label;
+    EXPECT_EQ(r.failed, pin.failed) << label;
+    EXPECT_EQ(r.timed_out, pin.timed_out) << label;
+    EXPECT_EQ(r.analytic_messages, pin.analytic) << label;
+    EXPECT_EQ(r.finished(), r.issued) << label;
+  }
+}
+
 TEST(WorkloadEngine, AdversaryCellTrafficBitIdenticalAcrossShardCounts) {
   // One adversary cell under traffic, trials sharded 1-wide vs 4-wide:
   // merged histograms, counters and the trial-ordered trace fold must
@@ -505,6 +573,82 @@ TEST(WorkloadService, RedGroupsDropOrCorrupt) {
   // Half the world is adversarial: some ops die en route (timeout)
   // and some reach red owners (corrupted replies count as failed).
   EXPECT_GT(res.recorder.failed + res.recorder.timed_out, 0u);
+}
+
+TEST(WorkloadService, KvStoreServesEdgeKeys) {
+  // The replica table's edges, driven through execute at each key's
+  // owner: the raw key 0, keys sharing their low 32 bits (one probe
+  // chain at any table size up to 2^32 slots; all-ones low bits start
+  // it in the last slot, so it wraps), a get after a put, a get of a
+  // key never stored, and far more stored keys than the key space.
+  const World world = synthetic_world(/*red_groups=*/0);
+  constexpr std::size_t kKeys = 64;
+  constexpr std::uint64_t kSalt = 3;
+  KvService service(world, kKeys, kSalt);
+  ASSERT_EQ(service.preloaded(), kKeys);
+  const auto exec = [&](workload::OpKind kind, std::uint64_t raw,
+                        std::uint64_t value) {
+    workload::Operation op;
+    op.kind = kind;
+    op.key = ids::RingPoint{raw};
+    op.value = value;
+    return service.execute(op, world.responsible(op.key));
+  };
+  const auto get = [&](std::uint64_t raw) {
+    return exec(workload::OpKind::get, raw, 0);
+  };
+  const auto put = [&](std::uint64_t raw, std::uint64_t value) {
+    const workload::Execution e = exec(workload::OpKind::put, raw, value);
+    EXPECT_TRUE(e.ok) << raw;
+    EXPECT_EQ(e.value, value) << raw;
+  };
+
+  // The full key space answers its preloaded checksums.
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    const std::uint64_t raw = KvService::key_point(k, kSalt).raw();
+    const workload::Execution e = get(raw);
+    EXPECT_TRUE(e.ok) << k;
+    EXPECT_EQ(e.value, mix64(raw ^ kSalt)) << k;
+  }
+  // Key 0 is a key like any other.
+  EXPECT_FALSE(get(0).ok);
+  put(0, 7);
+  EXPECT_EQ(get(0).value, 7u);
+  EXPECT_TRUE(get(0).ok);
+
+  const auto colliding = [](std::uint64_t j) {
+    return (j << 32) | 0xffffffffULL;
+  };
+  for (std::uint64_t j = 1; j <= 40; ++j) put(colliding(j), 100 + j);
+  for (std::uint64_t j = 1; j <= 40; ++j) {
+    const workload::Execution e = get(colliding(j));
+    EXPECT_TRUE(e.ok) << j;
+    EXPECT_EQ(e.value, 100 + j) << j;
+  }
+  EXPECT_FALSE(get(colliding(41)).ok);
+  EXPECT_FALSE(get(0xffffffffULL).ok);
+
+  // A put overwrites: the later value is served.
+  const std::uint64_t first = KvService::key_point(0, kSalt).raw();
+  put(first, 11);
+  EXPECT_EQ(get(first).value, 11u);
+  put(colliding(3), 5);
+  EXPECT_EQ(get(colliding(3)).value, 5u);
+
+  // Sixteen times the key space in fresh keys: everything stored is
+  // still served, and a key never stored is not.
+  Rng rng(8);
+  std::vector<std::uint64_t> fresh(16 * kKeys);
+  for (auto& raw : fresh) raw = rng.u64();
+  for (std::size_t i = 0; i < fresh.size(); ++i) put(fresh[i], i);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const workload::Execution e = get(fresh[i]);
+    EXPECT_TRUE(e.ok) << i;
+    EXPECT_EQ(e.value, i) << i;
+  }
+  EXPECT_EQ(get(0).value, 7u);
+  EXPECT_EQ(get(colliding(40)).value, 140u);
+  EXPECT_FALSE(get(rng.u64()).ok);
 }
 
 TEST(WorkloadService, LookupRegistersOnlyOnBlueOwners) {
